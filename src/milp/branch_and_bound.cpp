@@ -25,15 +25,12 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Process-wide solve telemetry, fed unconditionally (not through the
-/// compile-out macros): the MipResult compatibility fields are computed
-/// as before/after deltas over these counters in Solver::run(), so they
-/// must advance in RRP_OBSERVABILITY=OFF builds too.  A sharded relaxed
-/// add per event keeps the workers race free without per-worker structs
-/// reduced at join.  The rrp.lp.* entries are written by the simplex
-/// layer (src/lp/simplex.cpp); they are looked up here only to snapshot
-/// factorisation deltas.
-struct SolveCounters {
+/// Process-wide rrp.bnb.* counters, fed unconditionally (not through
+/// the compile-out macros) so the metrics scrape carries them in
+/// RRP_OBSERVABILITY=OFF builds too.  MipResult never reads them back:
+/// each solve counts its own work (SolveTally), which keeps the result
+/// fields exact when solves overlap.
+struct BnbCounters {
   obs::Counter& nodes = obs::global_registry().counter("rrp.bnb.nodes");
   obs::Counter& lp_iterations =
       obs::global_registry().counter("rrp.bnb.lp_iterations");
@@ -44,18 +41,27 @@ struct SolveCounters {
   obs::Counter& cold_nodes =
       obs::global_registry().counter("rrp.bnb.cold_nodes");
   obs::Counter& cuts = obs::global_registry().counter("rrp.bnb.cuts_added");
-  obs::Counter& refactorizations =
-      obs::global_registry().counter("rrp.lp.refactorizations");
-  obs::Counter& eta_updates =
-      obs::global_registry().counter("rrp.lp.eta_updates");
-  obs::Gauge& fill_ratio_sum =
-      obs::global_registry().gauge("rrp.lp.fill_ratio_sum");
 };
 
-SolveCounters& solve_counters() {
-  static SolveCounters counters;
+BnbCounters& bnb_counters() {
+  static BnbCounters counters;
   return counters;
 }
+
+/// Adds `n` to a solve-local count and to its process-wide counter.
+void count(std::size_t& local, obs::Counter& global, std::size_t n = 1) {
+  local += n;
+  global.add(n);
+}
+
+/// Work one tree-search worker did in one solve; run() sums the
+/// workers' tallies into the MipResult after they join.
+struct SolveTally {
+  std::size_t lp_iterations = 0;
+  std::size_t recoveries = 0;
+  std::size_t warm_nodes = 0;
+  std::size_t cold_nodes = 0;
+};
 
 struct Node {
   // Bound overrides for the integer variables only, indexed by the
@@ -107,12 +113,12 @@ struct Pseudocosts {
 
 /// Everything a tree-search worker owns privately: a persistent simplex
 /// solver whose factorised basis and work buffers live across the nodes
-/// this worker processes.  Telemetry goes straight to the sharded obs
-/// registry (see SolveCounters) instead of per-worker fields.
+/// this worker processes, and the worker's share of the solve telemetry.
 struct WorkerState {
   explicit WorkerState(const lp::LinearProgram& lp) : solver(lp) {}
 
   lp::SimplexSolver solver;
+  SolveTally tally;
 };
 
 /// Restores the bounds of the given variables on destruction, so the
@@ -209,6 +215,10 @@ class Solver {
   /// for seeding the tree (null when unusable) and sets `root_bound` to
   /// the strengthened relaxation value (internal minimisation space).
   std::shared_ptr<const lp::Basis> run_root_cuts(double& root_bound);
+  /// The cut rounds of run_root_cuts on `solver`, which each round
+  /// replaces by a solver over the extended relaxation.
+  std::shared_ptr<const lp::Basis> cut_rounds(lp::SimplexSolver& solver,
+                                              double& root_bound);
 
   // -- tree search ------------------------------------------------------
   void worker(std::size_t w, WorkerState& ws);
@@ -267,11 +277,12 @@ class Solver {
     for (const Node& n : stack_) best = std::min(best, n.bound);
     return best;
   }
-  /// Proven global bound: the frontier plus every node currently being
-  /// processed by a worker (whose slot holds the node's parent bound, a
-  /// valid underestimate of its subtree).
+  /// Proven global bound: the frontier, the nodes whose LP hit the
+  /// iteration limit, and every node currently being processed by a
+  /// worker (whose slot holds the node's parent bound, a valid
+  /// underestimate of its subtree).
   double global_bound_locked() const RRP_REQUIRES(mtx_) {
-    double best = frontier_best_locked();
+    double best = std::min(frontier_best_locked(), unresolved_bound_);
     for (double b : in_flight_) best = std::min(best, b);
     return best;
   }
@@ -302,6 +313,9 @@ class Solver {
   bool hit_time_limit_ RRP_GUARDED_BY(mtx_) = false;
   bool gap_met_ RRP_GUARDED_BY(mtx_) = false;
   bool unbounded_ RRP_GUARDED_BY(mtx_) = false;
+  /// Lowest parent bound of the nodes dropped because their LP hit the
+  /// iteration limit; kInf = none dropped.
+  double unresolved_bound_ RRP_GUARDED_BY(mtx_) = kInf;
   std::exception_ptr error_ RRP_GUARDED_BY(mtx_);
 
   bool have_incumbent_ RRP_GUARDED_BY(mtx_) = false;
@@ -317,15 +331,23 @@ class Solver {
 #endif
 
   // Root cut telemetry, written before the workers start (internal
-  // minimisation space) and read in the single-threaded epilogue.  Cut
-  // and factorisation counts live in the obs registry (SolveCounters).
+  // minimisation space) and read in the single-threaded epilogue.
   double root_lp_obj_ = kInf;   ///< root relaxation value before cuts
   double root_cut_obj_ = kInf;  ///< root relaxation value after cuts
+  std::size_t cuts_added_ = 0;
+  lp::FactorizationStats root_factor_stats_;  ///< the cut loop's solvers
 };
 
 std::shared_ptr<const lp::Basis> Solver::run_root_cuts(double& root_bound) {
   RRP_TRACE_SPAN("bnb.root_cuts");
   lp::SimplexSolver solver(relaxation_);
+  std::shared_ptr<const lp::Basis> root = cut_rounds(solver, root_bound);
+  root_factor_stats_ += solver.factor_stats();
+  return root;
+}
+
+std::shared_ptr<const lp::Basis> Solver::cut_rounds(lp::SimplexSolver& solver,
+                                                    double& root_bound) {
   lp::Solution sol;
   try {
     sol = solver.solve(lp_opt_);
@@ -352,13 +374,14 @@ std::shared_ptr<const lp::Basis> Solver::run_root_cuts(double& root_bound) {
     }
     RRP_TRACE_ARG("added", added);
     if (added == 0) break;
-    solve_counters().cuts.add(added);
+    count(cuts_added_, bnb_counters().cuts, added);
     RRP_OBS_EVENT("bnb", "cut_round",
                   {{"round", static_cast<std::uint64_t>(round)},
                    {"added", static_cast<std::uint64_t>(added)}});
 
     // Rebuild the solver over the extended program; the parent basis
     // plus the new cut slacks (basic) warm starts the dual simplex.
+    root_factor_stats_ += solver.factor_stats();
     solver = lp::SimplexSolver(relaxation_);
     lp::Basis start;
     if (!parent.empty()) {
@@ -396,11 +419,11 @@ lp::Solution Solver::solve_node_lp(WorkerState& ws, const Node& node) {
   for (std::size_t k = 0; k < int_vars_.size(); ++k)
     ws.solver.set_variable_bounds(int_vars_[k], node.lo[k], node.hi[k]);
   lp::Solution sol = solve_with_recovery(ws, node.start.get());
-  solve_counters().lp_iterations.add(sol.iterations);
+  count(ws.tally.lp_iterations, bnb_counters().lp_iterations, sol.iterations);
   if (ws.solver.last_solve_was_warm())
-    solve_counters().warm_nodes.add(1);
+    count(ws.tally.warm_nodes, bnb_counters().warm_nodes);
   else
-    solve_counters().cold_nodes.add(1);
+    count(ws.tally.cold_nodes, bnb_counters().cold_nodes);
   return sol;
 }
 
@@ -420,7 +443,7 @@ lp::Solution Solver::solve_with_recovery(WorkerState& ws,
   retry.pricing = lp::Pricing::Bland;
   try {
     lp::Solution sol = ws.solver.solve(retry);
-    solve_counters().recoveries.add(1);
+    count(ws.tally.recoveries, bnb_counters().recoveries);
     RRP_OBS_EVENT("lp", "recovery", {{"rung", 1}, {"ladder", "bland"}});
     return sol;
   } catch (const NumericalError&) {
@@ -431,7 +454,7 @@ lp::Solution Solver::solve_with_recovery(WorkerState& ws,
   retry.refactor_every = 1;
   try {
     lp::Solution sol = ws.solver.solve(retry);
-    solve_counters().recoveries.add(1);
+    count(ws.tally.recoveries, bnb_counters().recoveries);
     RRP_OBS_EVENT("lp", "recovery", {{"rung", 2}, {"ladder", "refactor"}});
     return sol;
   } catch (const NumericalError&) {
@@ -451,7 +474,7 @@ lp::Solution Solver::solve_with_recovery(WorkerState& ws,
         j, c + 9.3e-10 * (1.0 + std::fabs(c)) * (jitter - 0.5));
   }
   lp::Solution sol = ws.solver.solve(retry);  // rethrows on failure
-  solve_counters().recoveries.add(1);
+  count(ws.tally.recoveries, bnb_counters().recoveries);
   RRP_OBS_EVENT("lp", "recovery", {{"rung", 3}, {"ladder", "perturb"}});
   return sol;
 }
@@ -542,7 +565,7 @@ void Solver::try_rounding_heuristic(WorkerState& ws, const Node& node,
     ws.solver.set_variable_bounds(int_vars_[k], v, v);
   }
   lp::Solution sol = solve_with_recovery(ws, start);
-  solve_counters().lp_iterations.add(sol.iterations);
+  count(ws.tally.lp_iterations, bnb_counters().lp_iterations, sol.iterations);
   if (sol.status == lp::SolveStatus::Optimal) {
     offer_incumbent(sol.x, sense_mult_ * model_.objective_value(sol.x));
   }
@@ -583,7 +606,14 @@ void Solver::process_node(WorkerState& ws, Node& node,
     cv_.notify_all();
     return;
   }
-  if (sol.status != lp::SolveStatus::Optimal) return;  // iter limit
+  if (sol.status == lp::SolveStatus::IterationLimit) {
+    // The relaxation stopped unresolved: the subtree is neither explored
+    // nor pruned, so its parent bound stays in the proven bound and the
+    // solve can no longer claim infeasibility (see run()).
+    MutexLock lock(mtx_);
+    unresolved_bound_ = std::min(unresolved_bound_, node.bound);
+    return;
+  }
 
   const double node_obj = sense_mult_ * model_.objective_value(sol.x);
   // Bound monotonicity: a child's relaxation can only tighten (grow, in
@@ -696,7 +726,7 @@ void Solver::worker(std::size_t w, WorkerState& ws) {
     Node node = pop_locked();
     const std::size_t node_number =
         nodes_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-    solve_counters().nodes.add(1);
+    bnb_counters().nodes.add(1);
     RRP_GAUGE_SET("rrp.bnb.frontier_depth", heap_.size() + stack_.size());
     ++active_;
     in_flight_[w] = node.bound;
@@ -726,20 +756,6 @@ void Solver::worker(std::size_t w, WorkerState& ws) {
 MipResult Solver::run() {
   RRP_TRACE_SPAN("bnb.solve");
   MipResult result;
-
-  // Snapshot the process-wide telemetry counters so the epilogue can
-  // fill the MipResult compatibility fields from the deltas this solve
-  // produced.  Exact: no two solves run concurrently in one process
-  // (solves on worker threads nest under this call via TaskGroup).
-  const SolveCounters& tel = solve_counters();
-  const std::uint64_t lp_iterations0 = tel.lp_iterations.value();
-  const std::uint64_t recoveries0 = tel.recoveries.value();
-  const std::uint64_t warm0 = tel.warm_nodes.value();
-  const std::uint64_t cold0 = tel.cold_nodes.value();
-  const std::uint64_t cuts0 = tel.cuts.value();
-  const std::uint64_t refactorizations0 = tel.refactorizations.value();
-  const std::uint64_t eta0 = tel.eta_updates.value();
-  const double fill_sum0 = tel.fill_ratio_sum.value();
 
   std::size_t jobs = opt_.jobs;
   if (jobs == 0)
@@ -791,26 +807,18 @@ MipResult Solver::run() {
   MutexLock lock(mtx_);
   if (error_) std::rethrow_exception(error_);
 
-  // Compatibility view over the obs registry: the public MipResult
-  // telemetry fields are counter deltas across this solve, mirroring
-  // the per-worker field reduction they replace exactly (every counting
-  // site below and in src/lp/simplex.cpp advances unconditionally, so
-  // the fields stay correct under RRP_OBSERVABILITY=OFF).
+  // Telemetry counted by this solve alone: the workers' tallies and
+  // solvers, plus the root cut loop.
   result.nodes_explored = nodes_count_.load(std::memory_order_relaxed);
-  result.lp_iterations =
-      static_cast<std::size_t>(tel.lp_iterations.value() - lp_iterations0);
-  result.lp_failures_recovered =
-      static_cast<std::size_t>(tel.recoveries.value() - recoveries0);
-  result.warm_started_nodes =
-      static_cast<std::size_t>(tel.warm_nodes.value() - warm0);
-  result.cold_solved_nodes =
-      static_cast<std::size_t>(tel.cold_nodes.value() - cold0);
-  result.cuts_added = static_cast<std::size_t>(tel.cuts.value() - cuts0);
-  result.factor_stats.refactorizations = static_cast<std::size_t>(
-      tel.refactorizations.value() - refactorizations0);
-  result.factor_stats.eta_updates =
-      static_cast<std::size_t>(tel.eta_updates.value() - eta0);
-  result.factor_stats.fill_ratio_sum = tel.fill_ratio_sum.value() - fill_sum0;
+  result.cuts_added = cuts_added_;
+  result.factor_stats = root_factor_stats_;
+  for (const WorkerState& ws : states) {
+    result.lp_iterations += ws.tally.lp_iterations;
+    result.lp_failures_recovered += ws.tally.recoveries;
+    result.warm_started_nodes += ws.tally.warm_nodes;
+    result.cold_solved_nodes += ws.tally.cold_nodes;
+    result.factor_stats += ws.solver.factor_stats();
+  }
   if (result.cuts_added > 0 && have_incumbent_ && std::isfinite(root_lp_obj_)) {
     const double denom = incumbent_obj_ - root_lp_obj_;
     if (denom > 1e-12)
@@ -823,12 +831,15 @@ MipResult Solver::run() {
     return result;
   }
 
-  const bool hit_limit = hit_node_limit_ || hit_time_limit_;
+  // A node dropped at the LP iteration limit leaves its subtree
+  // unsearched, which proves nothing, like stopping on a limit.
+  const bool unresolved = unresolved_bound_ < kInf;
+  const bool hit_limit = hit_node_limit_ || hit_time_limit_ || unresolved;
   if (!have_incumbent_) {
     // Without an incumbent a drained frontier proves infeasibility;
     // stopping on a limit proves nothing.
     result.status = hit_limit ? MipStatus::NoIncumbent : MipStatus::Infeasible;
-    result.best_bound = sense_mult_ * frontier_best_locked();
+    result.best_bound = sense_mult_ * global_bound_locked();
     return result;
   }
   if (gap_met_)
@@ -842,7 +853,7 @@ MipResult Solver::run() {
   const double internal_bound =
       result.status == MipStatus::Optimal
           ? incumbent_obj_
-          : std::min(frontier_best_locked(), incumbent_obj_);
+          : std::min(global_bound_locked(), incumbent_obj_);
   result.objective = sense_mult_ * incumbent_obj_;
   result.best_bound = sense_mult_ * internal_bound;
   result.x = incumbent_x_;

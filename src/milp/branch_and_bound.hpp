@@ -48,8 +48,13 @@ enum class MipStatus {
   Optimal,
   Infeasible,
   Unbounded,
-  NodeLimit,      ///< best incumbent returned, optimality not proven
-  NoIncumbent,    ///< node/time limit hit before any feasible point found
+  /// Best incumbent returned, optimality not proven: the node limit hit,
+  /// or a node LP stopped at lp.max_iterations and its subtree went
+  /// unsearched.
+  NodeLimit,
+  /// A limit (nodes, time, or a node LP's iteration limit) cut the
+  /// search short before any feasible point was found.
+  NoIncumbent,
   TimeLimit,      ///< deadline expired; best incumbent + proven bound
 };
 
@@ -90,6 +95,8 @@ struct BnbOptions {
   lp::SimplexOptions lp;
 };
 
+/// The telemetry fields count this solve's work only, so they stay exact
+/// when several solves run at once.
 struct MipResult {
   MipStatus status = MipStatus::NoIncumbent;
   double objective = 0.0;     ///< incumbent objective (model sense)

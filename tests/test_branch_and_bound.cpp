@@ -335,6 +335,74 @@ TEST(BranchAndBound, RecoveryLadderRetriesInjectedLpFailures) {
   }
 }
 
+// Uncapacitated lot sizing: setup y_t, order alpha_t <= M*y_t, stock
+// beta_t >= 0.  Always feasible, and its LP relaxation takes several
+// pivots (phase 1 has to satisfy every balance row).
+Model lot_sizing(int horizon) {
+  Model m;
+  const double big_m = 3.0 * horizon;
+  LinExpr cost;
+  Var prev_beta{};
+  for (int t = 0; t < horizon; ++t) {
+    const Var y = m.add_binary();
+    const Var alpha = m.add_continuous(0.0, big_m);
+    const Var beta = m.add_continuous(0.0, big_m);
+    cost += 5.0 * LinExpr(y) + (1.0 + 0.25 * (t % 3)) * LinExpr(alpha) +
+            0.3 * LinExpr(beta);
+    m.add_constraint(LinExpr(alpha) - big_m * LinExpr(y) <= 0.0);
+    LinExpr balance = LinExpr(alpha) - LinExpr(beta);
+    if (t > 0) balance += LinExpr(prev_beta);
+    m.add_constraint(std::move(balance) == 1.0 + (t % 2));
+    prev_beta = beta;
+  }
+  m.set_objective(std::move(cost), Objective::Minimize);
+  return m;
+}
+
+TEST(BranchAndBound, IterationLimitedRootIsUnprovenNotInfeasible) {
+  const Model m = lot_sizing(6);
+  BnbOptions opt;
+  opt.lp.max_iterations = 1;
+  const MipResult r = solve(m, opt);
+  EXPECT_EQ(r.status, MipStatus::NoIncumbent) << to_string(r.status);
+  EXPECT_TRUE(r.x.empty());
+}
+
+TEST(BranchAndBound, IterationLimitedNodesNeverProveInfeasibility) {
+  // Tight iteration budgets drop some node LPs and resolve others; the
+  // result must stay an honest anytime answer at every budget.  Cold
+  // node solves need about as many pivots as the root, so some budgets
+  // resolve the root and find incumbents but drop later nodes.
+  const Model m = lot_sizing(8);
+  const MipResult exact = solve(m);
+  ASSERT_EQ(exact.status, MipStatus::Optimal);
+  std::size_t unproven_incumbents = 0;
+  for (const bool warm : {true, false}) {
+    for (std::size_t iters = 1; iters <= 40; ++iters) {
+      BnbOptions opt;
+      opt.warm_start = warm;
+      opt.lp.max_iterations = iters;
+      const MipResult r = solve(m, opt);
+      ASSERT_NE(r.status, MipStatus::Infeasible) << iters << " iterations";
+      EXPECT_LE(r.best_bound, exact.objective + 1e-6) << iters;
+      if (r.status == MipStatus::NoIncumbent) {
+        EXPECT_TRUE(r.x.empty());
+        continue;
+      }
+      ASSERT_FALSE(r.x.empty()) << iters;
+      EXPECT_GE(r.objective, exact.objective - 1e-6) << iters;
+      EXPECT_LE(r.best_bound, r.objective + 1e-6) << iters;
+      if (r.status == MipStatus::Optimal) {
+        EXPECT_NEAR(r.objective, exact.objective, 1e-6) << iters;
+      } else {
+        EXPECT_EQ(r.status, MipStatus::NodeLimit) << iters;
+        ++unproven_incumbents;
+      }
+    }
+  }
+  EXPECT_GT(unproven_incumbents, 0u);
+}
+
 TEST(BranchAndBound, RecoveryLadderExhaustionEscalates) {
   const Model m = big_knapsack(85, 12);
   rrp::testing::FaultInjector inj;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -78,7 +79,7 @@ TEST(Csv, ReadFileThrowsOnMissingPath) {
 }
 
 TEST(Csv, ReadFileRoundTrips) {
-  const std::string path = ::testing::TempDir() + "rrp_csv_test.csv";
+  const std::string path = rrp::testing::temp_path("test.csv");
   {
     std::ofstream out(path);
     out << "t,v\n0,1.5\n1,2.5\n";

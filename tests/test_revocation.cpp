@@ -13,6 +13,7 @@
 #include "market/revocation.hpp"
 #include "market/spot_trace.hpp"
 #include "market/trace_generator.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -164,8 +165,7 @@ TEST(SpotTraceRevocations, MarkersSurviveCsvRoundTrip) {
       {0.0, 0.05}, {1.5, 0.06}, {3.25, 0.07}, {5.0, 0.04}};
   std::vector<RevocationMarker> markers = {{1, false}, {3, true}};
   const SpotTrace trace(VmClass::C1Medium, ticks, markers);
-  const std::string path =
-      ::testing::TempDir() + "rrp_revocation_roundtrip.csv";
+  const std::string path = rrp::testing::temp_path("roundtrip.csv");
   trace.save_csv(path);
   const SpotTrace loaded = SpotTrace::load_csv(path, VmClass::C1Medium);
   std::remove(path.c_str());

@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "market/trace_generator.hpp"
+#include "temp_path.hpp"
 
 namespace {
 
@@ -42,7 +43,7 @@ TEST(SpotTrace, AccessorsAndHourlyConversion) {
 /// InvalidArgument whose message contains `needle` (row/field naming).
 void expect_load_fails(const std::string& content,
                        const std::string& needle) {
-  const std::string path = ::testing::TempDir() + "rrp_trace_malformed.csv";
+  const std::string path = rrp::testing::temp_path("malformed.csv");
   {
     std::ofstream out(path);
     out << content;
@@ -103,7 +104,7 @@ TEST(SpotTraceCsvHardening, ErrorsNameRowAsInFile) {
 }
 
 TEST(SpotTraceCsvHardening, AcceptsHeaderlessAndEventColumns) {
-  const std::string path = ::testing::TempDir() + "rrp_trace_ok.csv";
+  const std::string path = rrp::testing::temp_path("ok.csv");
   {
     std::ofstream out(path);
     out << "0.0,0.05\n1.5,0.06,revoke\n2.5,0.07,storm\n";
@@ -120,7 +121,7 @@ TEST(SpotTrace, CsvRoundTrip) {
   std::vector<rrp::ts::Tick> ticks = {{0.0, 0.051}, {1.25, 0.062},
                                       {7.5, 0.049}};
   const SpotTrace trace(VmClass::C1Medium, ticks);
-  const std::string path = ::testing::TempDir() + "rrp_trace_test.csv";
+  const std::string path = rrp::testing::temp_path("trace.csv");
   trace.save_csv(path);
   const SpotTrace loaded = SpotTrace::load_csv(path, VmClass::C1Medium);
   ASSERT_EQ(loaded.ticks().size(), 3u);

@@ -22,6 +22,11 @@ cannot express:
                       ::now()) outside src/common/; time must flow
                       through rrp::common::Clock / Deadline so solver
                       deadlines stay injectable and tests deterministic.
+  fixed-temp-path     No `TempDir() + "literal"` file names: ctest runs
+                      each gtest case as its own process, so under
+                      `ctest -j` cases sharing a fixed name overwrite
+                      each other's file; use the per-test
+                      rrp::testing::temp_path() (tests/temp_path.hpp).
 
 Usage: rrp_lint.py [ROOT] [--quiet]
 Exit status is 0 when clean, 1 when any violation is found.
@@ -71,6 +76,9 @@ RE_NEW = re.compile(r"\bnew\b")
 RE_RAW_CLOCK = re.compile(
     r"\b(?:steady_clock|system_clock|high_resolution_clock)\s*::\s*now\s*\("
 )
+# Matched on the raw text (string literals are blanked before the other
+# rules run); the literal may start on the next line.
+RE_FIXED_TEMP_PATH = re.compile(r'\bTempDir\s*\(\s*\)\s*\+\s*"')
 RE_PRAGMA_ONCE = re.compile(r"^\s*#\s*pragma\s+once\b")
 RE_IFNDEF_GUARD = re.compile(r"^\s*#\s*ifndef\s+\w+_(H|HPP|H_|HPP_)\b")
 
@@ -246,6 +254,20 @@ def check_cpp_file(path: str, text: str) -> list[Violation]:
                     "them directly",
                 )
             )
+
+    for m in RE_FIXED_TEMP_PATH.finditer(text):
+        lineno = text.count("\n", 0, m.start()) + 1
+        if "TempDir" not in lines[lineno - 1]:
+            continue  # inside a comment or string literal
+        violations.append(
+            Violation(
+                path,
+                lineno,
+                "fixed-temp-path",
+                "fixed TempDir() file name collides across parallel "
+                "ctest processes; use rrp::testing::temp_path()",
+            )
+        )
 
     if is_header:
         has_pragma = any(RE_PRAGMA_ONCE.search(l) for l in lines)

@@ -158,6 +158,29 @@ class RuleTests(unittest.TestCase):
         )
         self.assertNotIn("no-raw-clock", self.rules_fired())
 
+    def test_fixed_temp_path_fires(self):
+        self.tree.write(
+            "tests/bad.cpp",
+            "std::string p = ::testing::TempDir() + \"x.csv\";\n"
+            "std::string q = ::testing::TempDir() +\n"
+            "    \"y.csv\";\n",
+        )
+        lines = [
+            v.line
+            for v in rrp_lint.lint(self.tree.root)
+            if v.rule == "fixed-temp-path"
+        ]
+        self.assertEqual(lines, [1, 2])
+
+    def test_per_test_temp_path_is_allowed(self):
+        self.tree.write(
+            "tests/ok.cpp",
+            "// not ::testing::TempDir() + \"x.csv\"\n"
+            "std::string p = ::testing::TempDir() + name;\n"
+            "std::string q = rrp::testing::temp_path(\"x.csv\");\n",
+        )
+        self.assertNotIn("fixed-temp-path", self.rules_fired())
+
     def test_committed_build_artifact_fires(self):
         self.tree.write("build/CMakeCache.txt", "CMAKE_BUILD_TYPE=Release\n")
         self.tree.write("src/obj.o", "\x7fELF")

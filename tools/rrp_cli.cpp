@@ -7,12 +7,14 @@
 //   rrp availability  profile a fixed bid against a trace
 //
 // Run `rrp <command> --help` for per-command flags.
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -34,11 +36,14 @@ namespace {
 
 using namespace rrp;
 
-/// Tiny flag parser: --key value pairs after the subcommand.
+/// Tiny flag parser: --key value pairs after the subcommand `cmd`
+/// (argv[1]).  A flag outside `known` (besides --help) is a usage
+/// error, exit 2.
 class Args {
  public:
-  Args(int argc, char** argv, int start) {
-    for (int i = start; i < argc; ++i) {
+  Args(int argc, char** argv, const std::set<std::string>& known) {
+    const std::string cmd = argv[1];
+    for (int i = 2; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
         std::cerr << "unexpected argument: " << key << "\n";
@@ -48,6 +53,11 @@ class Args {
       if (key == "help") {
         help_ = true;
         continue;
+      }
+      if (known.count(key) == 0) {
+        std::cerr << "rrp " << cmd << ": unknown flag --" << key
+                  << " (see rrp " << cmd << " --help)\n";
+        std::exit(2);
       }
       if (i + 1 >= argc) {
         std::cerr << "missing value for --" << key << "\n";
@@ -345,7 +355,7 @@ int cmd_simulate(const Args& args) {
                  "[--policy sto-exp-mean|det-exp-mean|sto-predict|"
                  "det-predict|on-demand|no-plan] [--replan N] "
                  "[--replan-mode rebuild|incremental] [--model-update N] "
-                 "[--time-limit SECONDS] [--jobs N] [--seed N] "
+                 "[--time-limit SECONDS] [--seed N] "
                  "[--trace FILE]\n"
                  "            [--revocations calm|bid-cross|storm|all] "
                  "[--hazard P] [--storm-rate P]\n"
@@ -359,9 +369,6 @@ int cmd_simulate(const Args& args) {
                  "distributions, warm SARIMA refits, scenario-tree "
                  "repair; default) or\n  rebuild (recompute from the "
                  "full window, the equivalence oracle).\n"
-                 "  --jobs sets the branch & bound worker threads per "
-                 "re-plan solve\n  (0 = all cores; only the MILP backend "
-                 "parallelises).\n"
                  "  --revocations turns on mid-slot spot interruptions. "
                  "Without --policy it\n  prints the policy comparison "
                  "table under the chosen regime(s) (--trials\n  windows, "
@@ -438,8 +445,6 @@ int cmd_simulate(const Args& args) {
               << " (want rebuild|incremental)\n";
     return 2;
   }
-  const auto jobs = static_cast<std::size_t>(args.get_u64("jobs", 0));
-  policy.solver.jobs = jobs;
 
   const auto result = core::simulate_policy(in, policy);
   const double ideal = core::ideal_case_cost(in);
@@ -456,8 +461,6 @@ int cmd_simulate(const Args& args) {
   table.add_row({"compute", Table::num(result.cost.compute, 3)});
   table.add_row({"I/O+storage", Table::num(result.cost.holding, 3)});
   table.add_row({"transfer", Table::num(result.cost.transfer(), 3)});
-  table.add_row({"solver jobs",
-                 jobs == 0 ? "auto" : std::to_string(jobs)});
   if (result.solver_nodes_explored > 0) {
     table.add_row({"b&b nodes explored",
                    std::to_string(result.solver_nodes_explored)});
@@ -576,6 +579,12 @@ int cmd_availability(const Args& args) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::set<std::string> flags;  ///< besides --help and the obs flags
+};
+
 void usage() {
   std::cout <<
       "rrp — resource rental planning for elastic cloud applications\n"
@@ -603,16 +612,32 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  try {
-    const Args args(argc, argv, 2);
-    ObsSession obs_session(args);
-    if (cmd == "trace") return cmd_trace(args);
-    if (cmd == "analyze") return cmd_analyze(args);
-    if (cmd == "plan") return cmd_plan(args);
-    if (cmd == "simulate") return cmd_simulate(args);
-    if (cmd == "availability") return cmd_availability(args);
+  const std::vector<Command> commands = {
+      {"trace", cmd_trace, {"out", "class", "seed", "days"}},
+      {"analyze", cmd_analyze, {"trace", "class", "seed"}},
+      {"plan",
+       cmd_plan,
+       {"class", "hours", "price", "demand-mean", "demand-sd", "storage",
+        "solver", "jobs", "seed"}},
+      {"simulate",
+       cmd_simulate,
+       {"class", "hours", "policy", "replan", "replan-mode", "model-update",
+        "time-limit", "seed", "trace", "revocations", "hazard", "storm-rate",
+        "checkpoint-cost", "trials"}},
+      {"availability", cmd_availability, {"bid", "class", "trace", "seed"}},
+  };
+  const auto it = std::find_if(commands.begin(), commands.end(),
+                               [&](const Command& c) { return cmd == c.name; });
+  if (it == commands.end()) {
     usage();
     return 2;
+  }
+  std::set<std::string> known = it->flags;
+  known.insert({"metrics-out", "trace-out", "events-out"});
+  try {
+    const Args args(argc, argv, known);
+    ObsSession obs_session(args);
+    return it->run(args);
   } catch (const std::exception& e) {
     std::cerr << "rrp " << cmd << ": " << e.what() << "\n";
     return 1;
