@@ -68,8 +68,7 @@ int main() {
     const auto dp = core::solve_srrp_tree_dp(inst);
     const double dp_seconds = now() - t0;
 
-    core::SrrpFlVariables vars;
-    const auto model = core::build_srrp_facility_location(inst, &vars);
+    const auto model = core::build_srrp(inst, nullptr);
     // MILP effort grows steeply with tree width; cap the node budget
     // and skip the largest trees entirely (the DP column is exact
     // either way).
@@ -79,8 +78,7 @@ int main() {
       opt.relative_gap = 1e-4;
       opt.max_nodes = 200;
       const double t2 = now();
-      const auto milp_result = core::solve_srrp(
-          inst, opt, core::SrrpFormulation::FacilityLocation);
+      const auto milp_result = core::solve_srrp_milp(inst, opt);
       const double milp_seconds = now() - t2;
       milp_nodes = std::to_string(milp_result.nodes_explored) +
                    (milp_result.status == milp::MipStatus::Optimal

@@ -226,8 +226,7 @@ int main() {
       records.push_back(bench_milp(
           std::string("drrp_aggregated_h24_") + (warm ? "warm" : "cold"),
           [&] {
-            return core::solve_drrp(inst, tree_options(warm, 1),
-                                    core::DrrpFormulation::Aggregated);
+            return core::solve_drrp_milp(inst, tree_options(warm, 1));
           }));
     }
   }
@@ -243,8 +242,7 @@ int main() {
           std::string("drrp_aggregated_h16_opt_") +
               (cuts ? "cuts" : "nocuts"),
           [&] {
-            return core::solve_drrp(inst, opt_options(cuts),
-                                    core::DrrpFormulation::Aggregated);
+            return core::solve_drrp_milp(inst, opt_options(cuts));
           }));
     }
   }
@@ -261,8 +259,7 @@ int main() {
           "srrp_aggregated_w" + std::to_string(width) + "_" +
               (warm ? "warm" : "cold"),
           [&] {
-            return core::solve_srrp(inst, tree_options(warm, 1),
-                                    core::SrrpFormulation::Aggregated);
+            return core::solve_srrp_milp(inst, tree_options(warm, 1));
           });
       (warm ? warm_nps : cold_nps) += rec.nodes_per_second;
       records.push_back(std::move(rec));
@@ -272,8 +269,7 @@ int main() {
   {
     const auto inst = srrp_instance(3);
     records.push_back(bench_milp("srrp_aggregated_w3_warm_jobs4", [&] {
-      return core::solve_srrp(inst, tree_options(true, 4),
-                              core::SrrpFormulation::Aggregated);
+      return core::solve_srrp_milp(inst, tree_options(true, 4));
     }));
   }
 

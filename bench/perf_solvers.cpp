@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the solver substrates:
-// simplex pricing rules, branch & bound on knapsacks, DRRP formulation
-// scaling with the horizon, SARIMA fitting, and scenario-tree SRRP.
+// simplex pricing rules, branch & bound on knapsacks, the DRRP MILP and
+// Wagner-Whitin scaling with the horizon, SARIMA fitting, and
+// scenario-tree SRRP.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -86,29 +87,27 @@ core::DrrpInstance drrp_instance(std::size_t horizon) {
   return inst;
 }
 
-void BM_DrrpFacilityLocation(benchmark::State& state) {
+// Deadline-polling overhead (budget: <2% vs. no deadline):
+// the same MILP solve without and with a generous armed deadline, so
+// every node and pivot pays the poll against the real monotonic clock
+// without ever expiring.
+void BM_DrrpMilp(benchmark::State& state) {
   const auto inst = drrp_instance(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::solve_drrp(inst, {}, core::DrrpFormulation::FacilityLocation));
+    benchmark::DoNotOptimize(core::solve_drrp_milp(inst));
   }
 }
-BENCHMARK(BM_DrrpFacilityLocation)->Arg(12)->Arg(24)->Arg(48);
+BENCHMARK(BM_DrrpMilp)->Arg(12)->Arg(16);
 
-// Deadline-polling overhead (ISSUE 2 acceptance: <2% vs. no deadline).
-// Same MILP solve as BM_DrrpFacilityLocation but with a generous armed
-// deadline, so every node and pivot pays the poll against the real
-// monotonic clock without ever expiring.
-void BM_DrrpFacilityLocationDeadline(benchmark::State& state) {
+void BM_DrrpMilpDeadline(benchmark::State& state) {
   const auto inst = drrp_instance(static_cast<std::size_t>(state.range(0)));
   milp::BnbOptions opt;
   for (auto _ : state) {
     opt.deadline = common::Deadline::after(3600.0);
-    benchmark::DoNotOptimize(
-        core::solve_drrp(inst, opt, core::DrrpFormulation::FacilityLocation));
+    benchmark::DoNotOptimize(core::solve_drrp_milp(inst, opt));
   }
 }
-BENCHMARK(BM_DrrpFacilityLocationDeadline)->Arg(12)->Arg(24)->Arg(48);
+BENCHMARK(BM_DrrpMilpDeadline)->Arg(12)->Arg(16);
 
 // Warm-start lever (ISSUE 5): the aggregated formulation's weak
 // relaxation forces a real tree, so per-node LP cost dominates and the
@@ -119,8 +118,7 @@ void BM_DrrpAggregatedWarmStart(benchmark::State& state) {
   milp::BnbOptions opt;
   opt.warm_start = state.range(0) != 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::solve_drrp(inst, opt, core::DrrpFormulation::Aggregated));
+    benchmark::DoNotOptimize(core::solve_drrp_milp(inst, opt));
   }
 }
 BENCHMARK(BM_DrrpAggregatedWarmStart)->Arg(0)->Arg(1);
@@ -131,8 +129,7 @@ void BM_DrrpAggregatedJobs(benchmark::State& state) {
   milp::BnbOptions opt;
   opt.jobs = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::solve_drrp(inst, opt, core::DrrpFormulation::Aggregated));
+    benchmark::DoNotOptimize(core::solve_drrp_milp(inst, opt));
   }
 }
 BENCHMARK(BM_DrrpAggregatedJobs)->Arg(1)->Arg(2)->Arg(4);
@@ -144,29 +141,6 @@ void BM_DrrpWagnerWhitin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DrrpWagnerWhitin)->Arg(12)->Arg(24)->Arg(48)->Arg(96);
-
-void BM_SrrpFacilityLocation(benchmark::State& state) {
-  Rng rng(13);
-  std::vector<double> history;
-  for (int i = 0; i < 1000; ++i)
-    history.push_back(0.05 + 0.03 * rng.uniform());
-  const auto base = core::EmpiricalPriceDistribution::from_history(history,
-                                                                   12);
-  const std::size_t width = static_cast<std::size_t>(state.range(0));
-  std::vector<std::size_t> widths = {width, 2, 2, 1, 1, 1};
-  std::vector<double> bids(6, 0.065);
-  core::SrrpInstance inst;
-  inst.demand = core::generate_demand(6, core::DemandConfig{}, rng);
-  inst.tree = core::ScenarioTree::build(
-      core::make_stage_supports(base, bids, 0.2, widths));
-  milp::BnbOptions opt;
-  opt.relative_gap = 1e-3;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::solve_srrp(inst, opt, core::SrrpFormulation::FacilityLocation));
-  }
-}
-BENCHMARK(BM_SrrpFacilityLocation)->Arg(2)->Arg(3)->Arg(4);
 
 void BM_SrrpTreeDp(benchmark::State& state) {
   Rng rng(13);
@@ -224,8 +198,7 @@ void BM_SrrpAggregatedObs(benchmark::State& state) {
     obs::EventLog::instance().set_sink(std::make_shared<DiscardSink>());
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::solve_srrp(inst, opt, core::SrrpFormulation::Aggregated));
+    benchmark::DoNotOptimize(core::solve_srrp_milp(inst, opt));
   }
   if (armed) {
     recorder.disable();

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "common/invariant.hpp"
+#include "core/wagner_whitin.hpp"
 #include "milp/cuts.hpp"
 
 namespace rrp::core {
@@ -36,7 +37,6 @@ milp::Model build_drrp(const DrrpInstance& inst, DrrpVariables* vars) {
   std::vector<double> remaining(T + 1, 0.0);
   for (std::size_t t = T; t-- > 0;) remaining[t] = remaining[t + 1] +
                                                    inst.demand[t];
-  const double loose_bound = remaining[0] + inst.initial_storage + 1.0;
 
   // Names are composed with += rather than `"alpha" + suffix` to dodge
   // a GCC 12 -Wrestrict false positive (PR105651) under -Werror.
@@ -80,111 +80,18 @@ milp::Model build_drrp(const DrrpInstance& inst, DrrpVariables* vars) {
                          "balance[" + std::to_string(t) + "]");
 
     // (4) forcing constraint with the lot-sizing-tight bound.
-    const double big_b = inst.tighten_forcing_bound
-                             ? std::max(remaining[t], 1e-9)
-                             : loose_bound;
     model.add_constraint(milp::LinExpr(v.alpha[t]) -
-                                 big_b * milp::LinExpr(v.chi[t]) <=
+                                 std::max(remaining[t], 1e-9) *
+                                     milp::LinExpr(v.chi[t]) <=
                              0.0,
                          "forcing[" + std::to_string(t) + "]");
 
     // (3) bottleneck resource, when modelled.
-    if (inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty()) {
+    if (inst.capacitated()) {
       model.add_constraint(inst.bottleneck_rate * milp::LinExpr(v.alpha[t]) <=
                                inst.bottleneck_capacity[t],
                            "bottleneck[" + std::to_string(t) + "]");
     }
-  }
-
-  if (vars != nullptr) *vars = std::move(v);
-  return model;
-}
-
-milp::Model build_drrp_facility_location(const DrrpInstance& inst,
-                                         DrrpFlVariables* vars) {
-  inst.validate();
-  if (inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty()) {
-    throw InvalidArgument(
-        "facility-location formulation requires an uncapacitated "
-        "instance");
-  }
-  const std::size_t T = inst.horizon();
-  milp::Model model;
-  DrrpFlVariables v;
-
-  std::vector<double> hold_prefix(T + 1, 0.0);
-  for (std::size_t u = 0; u < T; ++u)
-    hold_prefix[u + 1] = hold_prefix[u] + inst.costs.holding(u);
-
-  for (std::size_t t = 0; t < T; ++t)
-    v.chi.push_back(model.add_binary("chi[" + std::to_string(t) + "]"));
-
-  const bool has_eps = inst.initial_storage > 0.0;
-  milp::LinExpr objective;
-  // Arcs t -> s: generate at t, serve demand of slot s.  Cost per GB is
-  // the transfer-in of inputs at t plus carrying from t to s.
-  v.arcs.reserve(T * (T + 1) / 2);
-  for (std::size_t s = 0; s < T; ++s) {
-    if (inst.demand[s] <= 0.0) continue;
-    for (std::size_t t = 0; t <= s; ++t) {
-      DrrpFlVariables::Arc arc;
-      arc.from = t;
-      arc.to = s;
-      arc.amount = model.add_continuous(
-          0.0, inst.demand[s],
-          "y[" + std::to_string(t) + "," + std::to_string(s) + "]");
-      const double unit_cost =
-          inst.costs.transfer_in(t) * inst.costs.input_output_ratio() +
-          (hold_prefix[s] - hold_prefix[t]);
-      objective += unit_cost * milp::LinExpr(arc.amount);
-      v.arcs.push_back(arc);
-    }
-  }
-  // eps_use[s]: GB of the initial storage consumed in slot s.  A unit
-  // consumed at s was held through slots 0..s-1; a unit never consumed
-  // is held through the whole horizon (constant epsilon * H(0,T) with a
-  // credit of H(s,T) per consumed unit -- equivalently charge H(0,s)
-  // and the constant separately, which is what we do).
-  if (has_eps) {
-    // One eps_use per positive-demand slot; entries for zero-demand
-    // slots stay invalid (a consumed unit must serve demand, otherwise
-    // its holding credit would be a free lunch).
-    v.eps_use.assign(T, milp::Var{});
-    milp::LinExpr eps_total;
-    for (std::size_t s = 0; s < T; ++s) {
-      if (inst.demand[s] <= 0.0) continue;
-      v.eps_use[s] = model.add_continuous(
-          0.0, std::min(inst.initial_storage, inst.demand[s]),
-          "eps[" + std::to_string(s) + "]");
-      objective += (hold_prefix[s] - hold_prefix[T]) *
-                   milp::LinExpr(v.eps_use[s]);
-      eps_total += milp::LinExpr(v.eps_use[s]);
-    }
-    objective += inst.initial_storage * hold_prefix[T];  // constant
-    model.add_constraint(std::move(eps_total) <= inst.initial_storage,
-                         "eps-budget");
-  }
-  for (std::size_t t = 0; t < T; ++t) {
-    objective += inst.compute_price[t] * milp::LinExpr(v.chi[t]);
-    objective += inst.costs.delivery_cost(inst.demand[t], t);
-  }
-  model.set_objective(std::move(objective), milp::Objective::Minimize);
-
-  // Demand satisfaction per slot, and arc-chi coupling.
-  std::vector<milp::LinExpr> supply(T);
-  for (const auto& arc : v.arcs) {
-    supply[arc.to] += milp::LinExpr(arc.amount);
-    model.add_constraint(milp::LinExpr(arc.amount) -
-                             inst.demand[arc.to] *
-                                 milp::LinExpr(v.chi[arc.from]) <=
-                         0.0);
-  }
-  for (std::size_t s = 0; s < T; ++s) {
-    if (inst.demand[s] <= 0.0) continue;
-    milp::LinExpr row = std::move(supply[s]);
-    if (has_eps && v.eps_use[s].valid()) row += milp::LinExpr(v.eps_use[s]);
-    model.add_constraint(std::move(row) == inst.demand[s],
-                         "demand[" + std::to_string(s) + "]");
   }
 
   if (vars != nullptr) *vars = std::move(v);
@@ -206,10 +113,6 @@ CostBreakdown breakdown_from_solution(const DrrpInstance& inst,
   }
   return c;
 }
-
-}  // namespace
-
-namespace {
 
 #if RRP_INVARIANTS_ENABLED
 /// Inventory-balance verification of a returned plan: generation plus
@@ -242,8 +145,10 @@ void verify_plan_balance(const DrrpInstance& inst, const RentalPlan& plan) {
 }
 #endif
 
-RentalPlan solve_drrp_aggregated(const DrrpInstance& inst,
-                                 const milp::BnbOptions& options) {
+}  // namespace
+
+RentalPlan solve_drrp_milp(const DrrpInstance& inst,
+                           const milp::BnbOptions& options) {
   DrrpVariables vars;
   const milp::Model model = build_drrp(inst, &vars);
 
@@ -287,57 +192,14 @@ RentalPlan solve_drrp_aggregated(const DrrpInstance& inst,
   return plan;
 }
 
-RentalPlan solve_drrp_fl(const DrrpInstance& inst,
-                         const milp::BnbOptions& options) {
-  DrrpFlVariables vars;
-  const milp::Model model = build_drrp_facility_location(inst, &vars);
-  const milp::MipResult result = milp::solve(model, options);
-
-  RentalPlan plan;
-  plan.status = result.status;
-  plan.nodes_explored = result.nodes_explored;
-  plan.warm_started_nodes = result.warm_started_nodes;
-  plan.cold_solved_nodes = result.cold_solved_nodes;
-  plan.factor_stats = result.factor_stats;
-  if (result.x.empty()) return plan;
-
-  const std::size_t T = inst.horizon();
-  plan.alpha.assign(T, 0.0);
-  plan.beta.assign(T, 0.0);
-  plan.chi.assign(T, 0);
-  for (const auto& arc : vars.arcs)
-    plan.alpha[arc.from] += std::max(result.x[arc.amount.id], 0.0);
-  for (std::size_t t = 0; t < T; ++t) {
-    plan.chi[t] = result.x[vars.chi[t].id] > 0.5 ? 1 : 0;
-    if (plan.alpha[t] < 1e-9) plan.alpha[t] = 0.0;
-  }
-  double store = inst.initial_storage;
-  for (std::size_t t = 0; t < T; ++t) {
-    store += plan.alpha[t] - inst.demand[t];
-    store = std::max(store, 0.0);
-    plan.beta[t] = store;
-  }
-  plan.cost = breakdown_from_solution(inst, plan.alpha, plan.beta, plan.chi);
-#if RRP_INVARIANTS_ENABLED
-  verify_plan_balance(inst, plan);
-#endif
-  return plan;
-}
-
-}  // namespace
-
 RentalPlan solve_drrp(const DrrpInstance& inst,
-                      const milp::BnbOptions& options,
-                      DrrpFormulation formulation) {
-  const bool capacitated =
-      inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty();
-  if (formulation == DrrpFormulation::Auto) {
-    formulation = capacitated ? DrrpFormulation::Aggregated
-                              : DrrpFormulation::FacilityLocation;
+                      const milp::BnbOptions& options) {
+  if (inst.capacitated()) return solve_drrp_milp(inst, options);
+  try {
+    return solve_drrp_wagner_whitin(inst, options.deadline);
+  } catch (const TimeLimitExceeded&) {
+    return RentalPlan{};  // status NoIncumbent
   }
-  if (formulation == DrrpFormulation::FacilityLocation)
-    return solve_drrp_fl(inst, options);
-  return solve_drrp_aggregated(inst, options);
 }
 
 RentalPlan no_plan_schedule(const DrrpInstance& inst) {

@@ -34,11 +34,12 @@ struct DrrpInstance {
   /// the paper's evaluation where VMs are amply provisioned.
   double bottleneck_rate = 0.0;                 ///< P(i)
   std::vector<double> bottleneck_capacity;      ///< Q(t); empty = +inf
-  /// Use the lot-sizing-tight forcing bound B_t = remaining demand
-  /// instead of one loose global constant (see DESIGN.md ablation 1).
-  bool tighten_forcing_bound = true;
 
   std::size_t horizon() const { return demand.size(); }
+  /// True when the bottleneck (3) binds: a positive rate and capacities.
+  bool capacitated() const {
+    return bottleneck_rate > 0.0 && !bottleneck_capacity.empty();
+  }
   void validate() const;
 };
 
@@ -69,12 +70,12 @@ struct RentalPlan {
   CostBreakdown cost;
   std::size_t nodes_explored = 0;
   /// Node LPs re-optimised from the parent basis vs. cold-solved (see
-  /// milp::MipResult); zero for non-MILP backends (Wagner-Whitin, DP).
+  /// milp::MipResult); zero when Wagner-Whitin solved the instance.
   std::size_t warm_started_nodes = 0;
   std::size_t cold_solved_nodes = 0;
   /// Root-node (l,S) lot-sizing cuts added to the MILP and the fraction
-  /// of the root gap they closed (milp::MipResult); zero for non-MILP
-  /// backends.
+  /// of the root gap they closed (milp::MipResult); zero outside the
+  /// MILP.
   std::size_t cuts_added = 0;
   double root_gap_closed = 0.0;
   /// Sparse-LU telemetry aggregated over every node LP solver.
@@ -87,50 +88,27 @@ struct RentalPlan {
   }
 };
 
-/// MILP formulation choice for solve_drrp.
-enum class DrrpFormulation {
-  /// Pick FacilityLocation when the instance is uncapacitated,
-  /// Aggregated otherwise.
-  Auto,
-  /// The paper's objective (1) with constraints (2)-(7).  Exact, but
-  /// its LP relaxation is weak (fractional chi = alpha/B), so branch &
-  /// bound explores many nodes.
-  Aggregated,
-  /// Krarup-Bilde disaggregation: y[t][s] units generated in slot t to
-  /// serve slot s, with y <= D_s * chi_t.  Provably equivalent, and the
-  /// LP relaxation of uncapacitated lot-sizing in this form is
-  /// integral, so branch & bound usually finishes at the root.
-  FacilityLocation,
-};
-
 /// Variable handles into the MILP built by build_drrp (slot-major).
 struct DrrpVariables {
   std::vector<milp::Var> alpha, beta, chi;
 };
 
-/// Handles into the facility-location MILP.
-struct DrrpFlVariables {
-  struct Arc {
-    std::size_t from;  ///< generation slot t
-    std::size_t to;    ///< served slot s >= t
-    milp::Var amount;  ///< GB generated at t for s
-  };
-  std::vector<milp::Var> chi;      ///< per slot
-  std::vector<Arc> arcs;
-  std::vector<milp::Var> eps_use;  ///< GB of initial storage used per slot
-};
-
 /// Lowers a DRRP instance to the paper's aggregated MILP.
 milp::Model build_drrp(const DrrpInstance& instance, DrrpVariables* vars);
 
-/// Lowers to the facility-location MILP (uncapacitated instances only).
-milp::Model build_drrp_facility_location(const DrrpInstance& instance,
-                                         DrrpFlVariables* vars);
+/// Builds and solves the paper's MILP (1)-(7) by branch & bound with
+/// root (l,S) cuts; extracts the plan and its cost decomposition.
+/// Handles capacitated and uncapacitated instances alike.
+RentalPlan solve_drrp_milp(const DrrpInstance& instance,
+                           const milp::BnbOptions& options = {});
 
-/// Builds and solves; extracts the plan and its cost decomposition.
+/// The DRRP planner.  An uncapacitated instance is dynamic lot-sizing
+/// and goes to the exact Wagner-Whitin recursion, which only reads
+/// `options.deadline`; on expiry it returns status NoIncumbent, as the
+/// MILP does when time runs out before an incumbent.  A capacitated
+/// instance goes to solve_drrp_milp.
 RentalPlan solve_drrp(const DrrpInstance& instance,
-                      const milp::BnbOptions& options = {},
-                      DrrpFormulation formulation = DrrpFormulation::Auto);
+                      const milp::BnbOptions& options = {});
 
 /// The no-planning baseline of Figure 10: every slot generates exactly
 /// that slot's demand on a freshly rented instance (chi_t = 1 whenever

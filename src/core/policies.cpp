@@ -59,9 +59,6 @@ PolicyConfig base_srrp(std::string name, BidStrategy bids) {
   cfg.bids = bids;
   cfg.lookahead = 6;  // paper: SRRP plans over 6 hours
   cfg.stage_widths = {4, 3, 2, 1, 1, 1};
-  // Only consulted by the MILP backend: re-planning happens hourly, so
-  // a 0.1% per-plan optimality gap is far below realised-cost noise.
-  cfg.solver.relative_gap = 1e-3;
   return cfg;
 }
 

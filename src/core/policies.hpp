@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/deadline.hpp"
-#include "milp/branch_and_bound.hpp"
 #include "timeseries/arima.hpp"
 
 namespace rrp::core {
@@ -53,20 +52,9 @@ enum class BidStrategy {
   OracleDeviated,
 };
 
-/// Which exact solver executes the per-slot plans.
-enum class PlannerBackend {
-  /// Wagner-Whitin (DRRP) / tree DP (SRRP): exact and near-instant for
-  /// the uncapacitated instances the rolling simulator produces.
-  DynamicProgramming,
-  /// The MILP deterministic equivalents; identical optima, orders of
-  /// magnitude slower.  Kept selectable for cross-validation.
-  Milp,
-};
-
 struct PolicyConfig {
   std::string name;
   PlannerKind planner = PlannerKind::Drrp;
-  PlannerBackend backend = PlannerBackend::DynamicProgramming;
   BidStrategy bids = BidStrategy::ExpectedMean;
   double fixed_bid = 0.0;        ///< used by BidStrategy::FixedValue
   double bid_deviation = 0.0;    ///< used by BidStrategy::OracleDeviated
@@ -101,11 +89,10 @@ struct PolicyConfig {
   /// maintenance; `sarima_refit.scratch` is also the option set for the
   /// construction-time fit and every Rebuild-mode fit.
   ts::SarimaRefitOptions sarima_refit = default_policy_sarima_refit();
-  milp::BnbOptions solver;
   /// Wall-clock budget (seconds) for each re-plan solve; 0 disables.
-  /// On expiry the MILP backend returns its best incumbent (anytime
-  /// contract); when no plan is usable the rolling-horizon recovery
-  /// ladder degrades the slot instead of aborting the simulation.
+  /// On expiry the solve returns no plan and the rolling-horizon
+  /// recovery ladder degrades the slot instead of aborting the
+  /// simulation.
   double replan_time_limit = 0.0;
   /// Clock behind the per-re-plan deadlines; tests inject a FakeClock
   /// here for deterministic expiry.  nullptr = process monotonic clock.

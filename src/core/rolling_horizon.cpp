@@ -10,7 +10,6 @@
 #include "common/stats.hpp"
 #include "core/markov_prices.hpp"
 #include "core/srrp.hpp"
-#include "core/srrp_dp.hpp"
 #include "core/wagner_whitin.hpp"
 #include "market/auction.hpp"
 #include "obs/obs.hpp"
@@ -467,11 +466,11 @@ void PolicyRunner::replan(std::size_t t, std::size_t w, double store) {
       replans_done_ % cfg_.model_update_every == 0)
     refresh_models();
   ++replans_done_;
-  milp::BnbOptions solver = cfg_.solver;
+  milp::BnbOptions options;
   if (cfg_.replan_time_limit > 0.0) {
     const common::Clock& clock =
         cfg_.clock != nullptr ? *cfg_.clock : common::real_clock();
-    solver.deadline = common::Deadline::after(cfg_.replan_time_limit, clock);
+    options.deadline = common::Deadline::after(cfg_.replan_time_limit, clock);
   }
 
   std::vector<double> estimates;
@@ -481,8 +480,8 @@ void PolicyRunner::replan(std::size_t t, std::size_t w, double store) {
   if (injected.has_value() &&
       *injected == testing::SolverFaultKind::Timeout) {
     // Modelled as the budget burning down before the solve gets
-    // anywhere; injecting above the solver keeps the fault uniform
-    // across the DP backend (which has no internal clock) and the MILP.
+    // anywhere, so the fault does not depend on how often the solver
+    // polls its deadline.
     failure = FallbackReason::SolverTimeout;
   } else {
     try {
@@ -493,20 +492,13 @@ void PolicyRunner::replan(std::size_t t, std::size_t w, double store) {
                              std::to_string(t));
       if (cfg_.planner == PlannerKind::Drrp) {
         DrrpInstance inst = drrp_instance(t, w, store, estimates);
-        RentalPlan plan =
-            cfg_.backend == PlannerBackend::DynamicProgramming
-                ? solve_drrp_wagner_whitin(inst)
-                : solve_drrp(inst, solver);
-        result_.solver_nodes_explored += plan.nodes_explored;
-        result_.solver_warm_started_nodes += plan.warm_started_nodes;
-        result_.solver_cold_solved_nodes += plan.cold_solved_nodes;
-        result_.solver_cuts_added += plan.cuts_added;
+        RentalPlan plan = solve_drrp(inst, options);
         if (plan.feasible()) {
           commit_schedule(t, std::move(plan), estimates);
           return;
         }
-        failure = solver.deadline.expired() ? FallbackReason::SolverTimeout
-                                            : FallbackReason::PlanRejected;
+        failure = options.deadline.expired() ? FallbackReason::SolverTimeout
+                                             : FallbackReason::PlanRejected;
       } else {
         std::vector<std::size_t> widths(w, 1);
         for (std::size_t i = 0; i < w && i < cfg_.stage_widths.size(); ++i)
@@ -543,20 +535,13 @@ void PolicyRunner::replan(std::size_t t, std::size_t w, double store) {
         }
         inst.costs = in_.costs;
         inst.initial_storage = store;
-        SrrpPolicy policy =
-            cfg_.backend == PlannerBackend::DynamicProgramming
-                ? solve_srrp_tree_dp(inst)
-                : solve_srrp(inst, solver);
-        result_.solver_nodes_explored += policy.nodes_explored;
-        result_.solver_warm_started_nodes += policy.warm_started_nodes;
-        result_.solver_cold_solved_nodes += policy.cold_solved_nodes;
-        result_.solver_cuts_added += policy.cuts_added;
+        SrrpPolicy policy = solve_srrp(inst, options);
         if (policy.feasible()) {
           commit_tree(t, std::move(policy), std::move(inst.tree), estimates);
           return;
         }
-        failure = solver.deadline.expired() ? FallbackReason::SolverTimeout
-                                            : FallbackReason::PlanRejected;
+        failure = options.deadline.expired() ? FallbackReason::SolverTimeout
+                                             : FallbackReason::PlanRejected;
       }
     } catch (const NumericalError&) {
       failure = FallbackReason::NumericalFailure;

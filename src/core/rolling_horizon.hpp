@@ -151,12 +151,6 @@ struct SimulationResult {
   std::size_t fallback_heuristic = 0;
   std::size_t fallback_on_demand = 0;
 
-  // --- Solver telemetry (MILP backend; all zero for the DP backend). ---
-  std::size_t solver_nodes_explored = 0;   ///< summed over all re-plans
-  std::size_t solver_warm_started_nodes = 0;
-  std::size_t solver_cold_solved_nodes = 0;
-  std::size_t solver_cuts_added = 0;       ///< root (l,S) cuts, summed
-
   // --- Re-plan latency & model maintenance (ISSUE 10). -----------------
   /// Wall-clock seconds of each executed re-plan (model refresh
   /// included), in execution order; feeds the CLI p50/p95 footer and

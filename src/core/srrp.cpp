@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "common/invariant.hpp"
+#include "core/srrp_dp.hpp"
 #include "milp/cuts.hpp"
 
 namespace rrp::core {
@@ -94,9 +95,6 @@ milp::Model build_srrp(const SrrpInstance& inst, SrrpVariables* vars) {
       best_child = std::max(best_child, remaining[c]);
     remaining[u] = inst.demand_at_vertex(u) + best_child;
   }
-  double loose_bound = inst.initial_storage + 1.0;
-  for (std::size_t c : tree.children(tree.root()))
-    loose_bound = std::max(loose_bound, remaining[c] + inst.initial_storage + 1.0);
 
   for (std::size_t u = 1; u < V; ++u) {
     v.alpha[u] =
@@ -137,161 +135,17 @@ milp::Model build_srrp(const SrrpInstance& inst, SrrpVariables* vars) {
     model.add_constraint(std::move(balance) == inst.demand_at_vertex(u));
 
     // (16) forcing with the lot-sizing-tight bound.
-    const double big_b = inst.tighten_forcing_bound
-                             ? std::max(remaining[u], 1e-9)
-                             : loose_bound;
-    model.add_constraint(
-        milp::LinExpr(v.alpha[u]) - big_b * milp::LinExpr(v.chi[u]) <= 0.0);
-
-    // (15) bottleneck, when modelled.
-    if (inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty()) {
-      model.add_constraint(inst.bottleneck_rate *
-                               milp::LinExpr(v.alpha[u]) <=
-                           inst.bottleneck_capacity[slot]);
-    }
-  }
-
-  if (vars != nullptr) *vars = std::move(v);
-  return model;
-}
-
-milp::Model build_srrp_facility_location(const SrrpInstance& inst,
-                                         SrrpFlVariables* vars) {
-  inst.validate();
-  if (inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty()) {
-    throw InvalidArgument(
-        "the strengthened formulation requires an uncapacitated "
-        "instance");
-  }
-  const ScenarioTree& tree = inst.tree;
-  const std::size_t V = tree.num_vertices();
-  milp::Model model;
-  SrrpFlVariables v;
-  v.alpha.assign(V, milp::Var{});
-  v.beta.assign(V, milp::Var{});
-  v.chi.assign(V, milp::Var{});
-  v.eps_use.assign(V, milp::Var{});
-
-  auto slot_of = [&tree](std::size_t u) { return tree.vertex(u).stage - 1; };
-  auto demand_at = [&](std::size_t u) { return inst.demand_at_vertex(u); };
-
-  // Worst-case remaining demand below each vertex (max over paths).
-  std::vector<double> remaining(V, 0.0);
-  for (std::size_t u = V; u-- > 1;) {
-    double best_child = 0.0;
-    for (std::size_t c : tree.children(u))
-      best_child = std::max(best_child, remaining[c]);
-    remaining[u] = demand_at(u) + best_child;
-  }
-
-  // --- Aggregated core: exact objective and balance semantics. ---
-  for (std::size_t u = 1; u < V; ++u) {
-    v.alpha[u] =
-        model.add_continuous(0.0, lp::kInfinity, vertex_name("alpha", u));
-    v.beta[u] =
-        model.add_continuous(0.0, lp::kInfinity, vertex_name("beta", u));
-    v.chi[u] = model.add_binary(vertex_name("chi", u));
-  }
-  milp::LinExpr objective;
-  for (std::size_t u = 1; u < V; ++u) {
-    const ScenarioVertex& vert = tree.vertex(u);
-    const std::size_t slot = slot_of(u);
-    const double pv = vert.path_prob;
-    objective += pv * inst.costs.transfer_in(slot) *
-                 inst.costs.input_output_ratio() * milp::LinExpr(v.alpha[u]);
-    objective += pv * inst.costs.holding(slot) * milp::LinExpr(v.beta[u]);
-    objective += pv * inst.costs.delivery_cost(demand_at(u), slot);
-    objective += pv * vert.price * milp::LinExpr(v.chi[u]);
-  }
-  model.set_objective(std::move(objective), milp::Objective::Minimize);
-
-  for (std::size_t u = 1; u < V; ++u) {
-    const ScenarioVertex& vert = tree.vertex(u);
-    milp::LinExpr balance =
-        milp::LinExpr(v.alpha[u]) - milp::LinExpr(v.beta[u]);
-    if (vert.parent == tree.root()) {
-      balance += inst.initial_storage;
-    } else {
-      balance += milp::LinExpr(v.beta[vert.parent]);
-    }
-    model.add_constraint(std::move(balance) == demand_at(u));
     model.add_constraint(milp::LinExpr(v.alpha[u]) -
                              std::max(remaining[u], 1e-9) *
                                  milp::LinExpr(v.chi[u]) <=
                          0.0);
-  }
 
-  // --- Strengthening block: coverage arcs. ---
-  //
-  // y[u][vtx] decomposes how vtx's demand is covered along its root
-  // path (FIFO decomposition always exists for a feasible plan, so the
-  // block never changes the optimum).  Its power is the disaggregated
-  // coupling y <= D * chi, the facility-location cut that makes the LP
-  // relaxation nearly integral.
-  const bool has_eps = inst.initial_storage > 0.0;
-  std::vector<milp::LinExpr> supply(V);          // per demand vertex
-  std::vector<milp::LinExpr> path_use(V);        // per producing vertex:
-                                                 // filled leaf-wise below
-  for (std::size_t vtx = 1; vtx < V; ++vtx) {
-    const double dv = demand_at(vtx);
-    if (dv <= 0.0) continue;
-    std::size_t u = vtx;
-    for (;;) {
-      SrrpFlVariables::Arc arc;
-      arc.from = u;
-      arc.to = vtx;
-      arc.amount = model.add_continuous(
-          0.0, dv,
-          "y[v" + std::to_string(u) + ",v" + std::to_string(vtx) + "]");
-      supply[vtx] += milp::LinExpr(arc.amount);
-      model.add_constraint(milp::LinExpr(arc.amount) -
-                               dv * milp::LinExpr(v.chi[u]) <=
-                           0.0);
-      v.arcs.push_back(arc);
-      if (tree.vertex(u).parent == tree.root()) break;
-      u = tree.vertex(u).parent;
+    // (15) bottleneck, when modelled.
+    if (inst.capacitated()) {
+      model.add_constraint(inst.bottleneck_rate *
+                               milp::LinExpr(v.alpha[u]) <=
+                           inst.bottleneck_capacity[slot]);
     }
-    if (has_eps) {
-      v.eps_use[vtx] = model.add_continuous(
-          0.0, std::min(inst.initial_storage, dv),
-          "eps[v" + std::to_string(vtx) + "]");
-      supply[vtx] += milp::LinExpr(v.eps_use[vtx]);
-    }
-  }
-  for (std::size_t vtx = 1; vtx < V; ++vtx) {
-    if (demand_at(vtx) <= 0.0) continue;
-    model.add_constraint(std::move(supply[vtx]) == demand_at(vtx));
-  }
-  // Per-scenario production links: along any root-to-leaf path, the
-  // arcs drawn from a producing vertex u cannot exceed alpha_u; and the
-  // epsilon drawn cannot exceed the initial storage.
-  for (std::size_t leaf : tree.leaves()) {
-    const auto path = tree.path_from_root(leaf);
-    // Collect arc usage per producer restricted to this path.
-    for (std::size_t u : path) path_use[u] = milp::LinExpr();
-    milp::LinExpr eps_on_path;
-    bool any_eps = false;
-    for (const auto& arc : v.arcs) {
-      // arc.to on this path?  path vertices are one per stage.
-      const std::size_t stage_idx = tree.vertex(arc.to).stage - 1;
-      if (stage_idx < path.size() && path[stage_idx] == arc.to) {
-        path_use[arc.from] += milp::LinExpr(arc.amount);
-      }
-    }
-    for (std::size_t u : path) {
-      if (v.eps_use[u].valid()) {
-        eps_on_path += milp::LinExpr(v.eps_use[u]);
-        any_eps = true;
-      }
-      if (!path_use[u].terms().empty()) {
-        model.add_constraint(std::move(path_use[u]) -
-                                 milp::LinExpr(v.alpha[u]) <=
-                             0.0);
-      }
-      path_use[u] = milp::LinExpr();
-    }
-    if (any_eps)
-      model.add_constraint(std::move(eps_on_path) <= inst.initial_storage);
   }
 
   if (vars != nullptr) *vars = std::move(v);
@@ -337,8 +191,10 @@ void verify_policy_balance(const SrrpInstance& inst,
 }
 #endif
 
-SrrpPolicy solve_srrp_aggregated(const SrrpInstance& inst,
-                                 const milp::BnbOptions& options) {
+}  // namespace
+
+SrrpPolicy solve_srrp_milp(const SrrpInstance& inst,
+                           const milp::BnbOptions& options) {
   SrrpVariables vars;
   const milp::Model model = build_srrp(inst, &vars);
 
@@ -391,50 +247,14 @@ SrrpPolicy solve_srrp_aggregated(const SrrpInstance& inst,
   return policy;
 }
 
-SrrpPolicy solve_srrp_fl(const SrrpInstance& inst,
-                         const milp::BnbOptions& options) {
-  SrrpFlVariables vars;
-  const milp::Model model = build_srrp_facility_location(inst, &vars);
-  const milp::MipResult result = milp::solve(model, options);
-
-  SrrpPolicy policy;
-  policy.status = result.status;
-  policy.nodes_explored = result.nodes_explored;
-  policy.warm_started_nodes = result.warm_started_nodes;
-  policy.cold_solved_nodes = result.cold_solved_nodes;
-  policy.factor_stats = result.factor_stats;
-  if (result.x.empty()) return policy;
-
-  const std::size_t V = inst.tree.num_vertices();
-  policy.alpha.assign(V, 0.0);
-  policy.beta.assign(V, 0.0);
-  policy.chi.assign(V, 0);
-  for (std::size_t u = 1; u < V; ++u) {
-    policy.alpha[u] = std::max(result.x[vars.alpha[u].id], 0.0);
-    policy.beta[u] = std::max(result.x[vars.beta[u].id], 0.0);
-    policy.chi[u] = result.x[vars.chi[u].id] > 0.5 ? 1 : 0;
-  }
-  policy.expected_cost = result.objective;
-#if RRP_INVARIANTS_ENABLED
-  verify_policy_balance(inst, policy);
-#endif
-  return policy;
-}
-
-}  // namespace
-
 SrrpPolicy solve_srrp(const SrrpInstance& inst,
-                      const milp::BnbOptions& options,
-                      SrrpFormulation formulation) {
-  const bool capacitated =
-      inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty();
-  if (formulation == SrrpFormulation::Auto) {
-    formulation = capacitated ? SrrpFormulation::Aggregated
-                              : SrrpFormulation::FacilityLocation;
+                      const milp::BnbOptions& options) {
+  if (inst.capacitated()) return solve_srrp_milp(inst, options);
+  try {
+    return solve_srrp_tree_dp(inst, options.deadline);
+  } catch (const TimeLimitExceeded&) {
+    return SrrpPolicy{};  // status NoIncumbent
   }
-  if (formulation == SrrpFormulation::FacilityLocation)
-    return solve_srrp_fl(inst, options);
-  return solve_srrp_aggregated(inst, options);
 }
 
 std::vector<std::vector<PricePoint>> make_stage_supports(

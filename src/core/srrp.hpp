@@ -22,7 +22,6 @@ struct SrrpInstance {
   double initial_storage = 0.0;
   double bottleneck_rate = 0.0;
   std::vector<double> bottleneck_capacity;  ///< per stage; empty = +inf
-  bool tighten_forcing_bound = true;
   /// Optional per-vertex demand (size = tree.num_vertices(); entry 0
   /// unused), overriding the per-stage `demand` — this is the paper's
   /// future-work extension to *time-varying workloads*: scenario-tree
@@ -30,6 +29,10 @@ struct SrrpInstance {
   std::vector<double> vertex_demand;
 
   std::size_t horizon() const { return demand.size(); }
+  /// True when the bottleneck (15) binds: a positive rate and capacities.
+  bool capacitated() const {
+    return bottleneck_rate > 0.0 && !bottleneck_capacity.empty();
+  }
   /// Demand at a tree vertex (stage demand unless overridden).
   double demand_at_vertex(std::size_t v) const;
   void validate() const;
@@ -57,12 +60,11 @@ struct SrrpPolicy {
   double expected_cost = 0.0;
   std::size_t nodes_explored = 0;
   /// Node LPs re-optimised from the parent basis vs. cold-solved (see
-  /// milp::MipResult); zero for the tree-DP backend.
+  /// milp::MipResult); zero when the tree DP solved the instance.
   std::size_t warm_started_nodes = 0;
   std::size_t cold_solved_nodes = 0;
   /// Root-node (l,S) lot-sizing cuts (one chain per scenario path) and
-  /// the root-gap fraction they closed; zero outside the aggregated
-  /// MILP backend.
+  /// the root-gap fraction they closed; zero outside the MILP.
   std::size_t cuts_added = 0;
   double root_gap_closed = 0.0;
   /// Sparse-LU telemetry aggregated over every node LP solver.
@@ -80,47 +82,21 @@ struct SrrpVariables {
   std::vector<milp::Var> alpha, beta, chi;
 };
 
-/// Formulation of the deterministic equivalent.
-enum class SrrpFormulation {
-  Auto,         ///< FacilityLocation unless the bottleneck is active
-  /// The paper's (13)-(19) verbatim.  Weak LP relaxation: branch &
-  /// bound over ~|V| binaries explodes beyond toy trees.
-  Aggregated,
-  /// Path-arc strengthened deterministic equivalent: the aggregated
-  /// variables and objective, plus redundant coverage arcs
-  /// y[u][v] <= D_v * chi_u (u an ancestor-or-self of v) tied to the
-  /// production variables per scenario path.  On a chain this is
-  /// exactly the Krarup-Bilde facility-location strength; on a tree a
-  /// naive pairwise FL would be WRONG (one unit of inventory may serve
-  /// different demands in mutually exclusive branches), so the arcs
-  /// here only *cut* the relaxation while alpha/beta keep the exact
-  /// cost semantics.
-  FacilityLocation,
-};
-
-/// Handles into the strengthened MILP.
-struct SrrpFlVariables {
-  struct Arc {
-    std::size_t from;  ///< generating vertex u
-    std::size_t to;    ///< served vertex v (u is an ancestor-or-self)
-    milp::Var amount;
-  };
-  std::vector<milp::Var> alpha, beta, chi;  ///< per vertex (entry 0 unused)
-  std::vector<Arc> arcs;
-  std::vector<milp::Var> eps_use;  ///< per vertex (invalid if absent)
-};
-
 /// Lowers to the paper's aggregated deterministic equivalent.
 milp::Model build_srrp(const SrrpInstance& instance, SrrpVariables* vars);
 
-/// Lowers to the tree facility-location MILP (uncapacitated only).
-milp::Model build_srrp_facility_location(const SrrpInstance& instance,
-                                         SrrpFlVariables* vars);
+/// Builds and solves the deterministic equivalent (13)-(19) by branch &
+/// bound with root (l,S) cuts, one chain per scenario path.  Handles
+/// capacitated and uncapacitated instances alike.
+SrrpPolicy solve_srrp_milp(const SrrpInstance& instance,
+                           const milp::BnbOptions& options = {});
 
-/// Builds and solves the deterministic equivalent.
+/// The SRRP planner.  An uncapacitated instance goes to the exact tree
+/// DP (srrp_dp.hpp), which only reads `options.deadline`; on expiry it
+/// returns status NoIncumbent, as the MILP does when time runs out
+/// before an incumbent.  A capacitated instance goes to solve_srrp_milp.
 SrrpPolicy solve_srrp(const SrrpInstance& instance,
-                      const milp::BnbOptions& options = {},
-                      SrrpFormulation formulation = SrrpFormulation::Auto);
+                      const milp::BnbOptions& options = {});
 
 /// Builds per-stage branch supports for the tree via bid-dependent
 /// dynamic sampling: stage t uses bid[t] against the base distribution,

@@ -164,7 +164,7 @@ class TreeDp {
 SrrpPolicy solve_srrp_tree_dp(const SrrpInstance& inst,
                               const common::Deadline& deadline) {
   inst.validate();
-  if (inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty()) {
+  if (inst.capacitated()) {
     throw InvalidArgument(
         "the tree DP requires an uncapacitated instance; use the MILP "
         "for bottleneck-constrained planning");

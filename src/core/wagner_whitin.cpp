@@ -11,7 +11,7 @@ namespace rrp::core {
 RentalPlan solve_drrp_wagner_whitin(const DrrpInstance& inst,
                                     const common::Deadline& deadline) {
   inst.validate();
-  if (inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty()) {
+  if (inst.capacitated()) {
     throw InvalidArgument(
         "Wagner-Whitin requires an uncapacitated instance; use the MILP "
         "for bottleneck-constrained planning");

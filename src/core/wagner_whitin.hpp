@@ -8,8 +8,8 @@
 // an optimal plan generates data only in slots where inventory has run
 // out, and each generation covers a consecutive block of future demand.
 // That yields an O(T^2) dynamic program producing the same optimum as
-// the MILP — used as the fast planning path inside the rolling-horizon
-// simulator and as an independent oracle in the test suite.
+// the MILP — solve_drrp's path for every uncapacitated instance, and an
+// independent oracle for the MILP in the test suite.
 #pragma once
 
 #include "common/deadline.hpp"

@@ -219,29 +219,33 @@ TEST(Chaos, CombinedSolverAndPriceFaultsEverySlot) {
   }
 }
 
-TEST(Chaos, RealDeadlinePathDegradesOnMilpBackend) {
-  // Exercises the production deadline plumbing (not the injector): a
-  // fake clock advancing one second per poll expires the tiny re-plan
-  // budget at every solve entry, so every re-plan times out and the
-  // ladder serves all 24 slots.
+TEST(Chaos, RealDeadlinePathDegrades) {
+  // Exercises the production deadline plumbing (not the injector) on
+  // the default planners: a fake clock advancing one second per poll
+  // expires the tiny re-plan budget at the solver's first poll, so every
+  // re-plan times out and the ladder serves all 24 slots.  A fresh
+  // heuristic plan covers one lookahead window; the slots after it run
+  // on its tail.
   const SimulationInputs in = chaos_inputs();
-  rrp::common::FakeClock clock;
-  clock.set_auto_advance(1.0);
-  PolicyConfig policy = det_exp_mean_policy();
-  policy.backend = PlannerBackend::Milp;
-  policy.replan_time_limit = 0.5;
-  policy.clock = &clock;
+  for (PolicyConfig policy : {det_exp_mean_policy(), sto_exp_mean_policy()}) {
+    SCOPED_TRACE(policy.name);
+    rrp::common::FakeClock clock;
+    clock.set_auto_advance(1.0);
+    policy.replan_time_limit = 0.5;
+    policy.clock = &clock;
 
-  const SimulationResult r = simulate_policy(in, policy);
-  expect_inventory_balanced(in, r);
-  expect_counters_consistent(r);
-  ASSERT_EQ(r.fallbacks.size(), kHorizon);
-  EXPECT_EQ(r.replan_timeouts, kHorizon);
-  EXPECT_EQ(r.fallback_heuristic, 1u);            // slot 0 plans fresh
-  EXPECT_EQ(r.fallback_reused_tail, kHorizon - 1);
-  for (const FallbackEvent& ev : r.fallbacks)
-    EXPECT_EQ(ev.reason, FallbackReason::SolverTimeout);
-  EXPECT_GT(clock.reads(), 0u);
+    const SimulationResult r = simulate_policy(in, policy);
+    expect_inventory_balanced(in, r);
+    expect_counters_consistent(r);
+    ASSERT_EQ(r.fallbacks.size(), kHorizon);
+    EXPECT_EQ(r.replan_timeouts, kHorizon);
+    const std::size_t heuristic_plans = kHorizon / policy.lookahead;
+    EXPECT_EQ(r.fallback_heuristic, heuristic_plans);
+    EXPECT_EQ(r.fallback_reused_tail, kHorizon - heuristic_plans);
+    for (const FallbackEvent& ev : r.fallbacks)
+      EXPECT_EQ(ev.reason, FallbackReason::SolverTimeout);
+    EXPECT_GT(clock.reads(), 0u);
+  }
 }
 
 TEST(Chaos, GenerousDeadlineMatchesUnlimitedRun) {

@@ -126,15 +126,13 @@ TEST(ConcurrentSolveTelemetry, OverlappingSolvesMatchSoloRuns) {
   // fail on purpose so the recovery ladder runs.
   std::vector<std::function<Telemetry()>> solves = {
       [&] {
-        return telemetry_of(
-            core::solve_drrp(drrp, {}, core::DrrpFormulation::Aggregated));
+        return telemetry_of(core::solve_drrp_milp(drrp));
       },
       [&] {
         milp::BnbOptions opt;
         opt.max_nodes = 300;
         opt.root_cuts = false;
-        return telemetry_of(
-            core::solve_srrp(srrp, opt, core::SrrpFormulation::Aggregated));
+        return telemetry_of(core::solve_srrp_milp(srrp, opt));
       },
       [&] {
         rrp::testing::FaultInjector inj;

@@ -157,14 +157,12 @@ TEST(LotSizingCuts, RootCutsShrinkDrrpTree) {
 
   milp::BnbOptions off;
   off.root_cuts = false;
-  const auto plan_off =
-      core::solve_drrp(inst, off, core::DrrpFormulation::Aggregated);
+  const auto plan_off = core::solve_drrp_milp(inst, off);
   ASSERT_EQ(plan_off.status, milp::MipStatus::Optimal);
   EXPECT_EQ(plan_off.cuts_added, 0u);
 
   milp::BnbOptions on;  // root_cuts defaults to true
-  const auto plan_on =
-      core::solve_drrp(inst, on, core::DrrpFormulation::Aggregated);
+  const auto plan_on = core::solve_drrp_milp(inst, on);
   ASSERT_EQ(plan_on.status, milp::MipStatus::Optimal);
   EXPECT_GT(plan_on.cuts_added, 0u);
   EXPECT_GE(plan_on.root_gap_closed, 0.0);

@@ -51,7 +51,7 @@ TEST(Drrp, PlanServesAllDemand) {
 TEST(Drrp, ForcingConstraintRespected) {
   rrp::Rng rng(132);
   auto inst = make_instance(generate_demand(24, DemandConfig{}, rng), 0.8);
-  const RentalPlan plan = solve_drrp(inst);
+  const RentalPlan plan = solve_drrp_milp(inst);
   ASSERT_TRUE(plan.feasible());
   for (std::size_t t = 0; t < 24; ++t) {
     if (!plan.chi[t]) {
@@ -91,7 +91,7 @@ TEST(Drrp, CheapComputeMeansRentEverySlot) {
   // When holding is expensive relative to compute, batching is useless:
   // the optimal plan degenerates to just-in-time generation.
   auto inst = make_instance(constant_demand(12, 0.4), 0.001);
-  const RentalPlan plan = solve_drrp(inst);
+  const RentalPlan plan = solve_drrp_milp(inst);
   ASSERT_TRUE(plan.feasible());
   for (std::size_t t = 0; t < 12; ++t) {
     EXPECT_EQ(plan.chi[t], 1);
@@ -103,7 +103,7 @@ TEST(Drrp, ExpensiveComputeBatchesGeneration) {
   // Expensive compute + cheap holding: the planner should skip rental
   // slots and serve later demand from inventory.
   auto inst = make_instance(constant_demand(12, 0.4), 2.0);
-  const RentalPlan plan = solve_drrp(inst);
+  const RentalPlan plan = solve_drrp_milp(inst);
   ASSERT_TRUE(plan.feasible());
   const int rentals =
       std::accumulate(plan.chi.begin(), plan.chi.end(), 0,
@@ -117,7 +117,7 @@ TEST(Drrp, ExpensiveComputeBatchesGeneration) {
 TEST(Drrp, InitialStorageServesEarlyDemand) {
   auto inst = make_instance(constant_demand(4, 0.5), 0.4);
   inst.initial_storage = 1.0;  // covers the first two slots entirely
-  const RentalPlan plan = solve_drrp(inst);
+  const RentalPlan plan = solve_drrp_milp(inst);
   ASSERT_TRUE(plan.feasible());
   EXPECT_NEAR(plan.alpha[0], 0.0, 1e-7);
   EXPECT_NEAR(plan.alpha[1], 0.0, 1e-7);
@@ -127,7 +127,7 @@ TEST(Drrp, InitialStorageServesEarlyDemand) {
 
 TEST(Drrp, ZeroDemandSlotsNeedNoRental) {
   auto inst = make_instance({0.0, 0.0, 0.5, 0.0}, 0.4);
-  const RentalPlan plan = solve_drrp(inst);
+  const RentalPlan plan = solve_drrp_milp(inst);
   ASSERT_TRUE(plan.feasible());
   EXPECT_EQ(plan.chi[0], 0);
   EXPECT_EQ(plan.chi[1], 0);
@@ -158,19 +158,6 @@ TEST(Drrp, InfeasibleWhenBottleneckBelowDemand) {
   EXPECT_EQ(plan.status, rrp::milp::MipStatus::Infeasible);
 }
 
-TEST(Drrp, TightAndLooseForcingBoundsAgreeOnOptimum) {
-  rrp::Rng rng(135);
-  const auto demand = generate_demand(16, DemandConfig{}, rng);
-  auto tight = make_instance(demand, 0.8);
-  auto loose = make_instance(demand, 0.8);
-  loose.tighten_forcing_bound = false;
-  const RentalPlan pt = solve_drrp(tight);
-  const RentalPlan pl = solve_drrp(loose);
-  ASSERT_TRUE(pt.feasible());
-  ASSERT_TRUE(pl.feasible());
-  EXPECT_NEAR(pt.cost.total(), pl.cost.total(), 1e-5);
-}
-
 TEST(Drrp, CostBreakdownSumsToTotalAndMatchesObjective) {
   rrp::Rng rng(136);
   // A short horizon keeps the weak aggregated relaxation solvable fast.
@@ -179,7 +166,7 @@ TEST(Drrp, CostBreakdownSumsToTotalAndMatchesObjective) {
   const auto model = build_drrp(inst, &vars);
   const auto result = rrp::milp::solve(model);
   ASSERT_EQ(result.status, rrp::milp::MipStatus::Optimal);
-  const RentalPlan plan = solve_drrp(inst);
+  const RentalPlan plan = solve_drrp_milp(inst);
   EXPECT_NEAR(plan.cost.total(), result.objective, 1e-6);
   EXPECT_NEAR(plan.cost.compute + plan.cost.holding +
                   plan.cost.transfer_in + plan.cost.transfer_out,
@@ -207,7 +194,7 @@ TEST(Drrp, NoPlanScheduleUsesInitialStorageFirst) {
 TEST(Drrp, EvaluateScheduleMatchesSolverAccounting) {
   rrp::Rng rng(138);
   auto inst = make_instance(generate_demand(12, DemandConfig{}, rng), 0.4);
-  const RentalPlan plan = solve_drrp(inst);
+  const RentalPlan plan = solve_drrp_milp(inst);
   const CostBreakdown recomputed =
       evaluate_schedule(inst, plan.alpha, plan.chi);
   EXPECT_NEAR(recomputed.total(), plan.cost.total(), 1e-6);

@@ -99,37 +99,6 @@ TEST_F(EndToEnd, DistributionToPlannersPipeline) {
   EXPECT_GT(policy.expected_cost, 0.0);
 }
 
-TEST_F(EndToEnd, SimulatorConsistencyAcrossBackends) {
-  // The DP and MILP backends must produce identical realised costs.
-  const auto hourly = trace_->hourly();
-  core::SimulationInputs in;
-  in.vm = trace_->vm_class();
-  in.history.assign(hourly.begin(), hourly.begin() + 24 * 60);
-  in.actual_spot.assign(hourly.begin() + 24 * 60,
-                        hourly.begin() + 24 * 60 + 8);
-  Rng rng(12);
-  in.demand = core::generate_demand(8, core::DemandConfig{}, rng);
-
-  for (auto base : {core::det_exp_mean_policy(),
-                    core::sto_exp_mean_policy()}) {
-    core::PolicyConfig dp = base;
-    dp.backend = core::PlannerBackend::DynamicProgramming;
-    core::PolicyConfig milp = base;
-    milp.backend = core::PlannerBackend::Milp;
-    // Narrow trees keep the MILP B&B tractable; a 1e-6 gap is far
-    // inside the comparison tolerance below.
-    milp.stage_widths = {2, 2, 1, 1, 1, 1};
-    dp.stage_widths = milp.stage_widths;
-    milp.solver.relative_gap = 1e-6;
-    const auto a = core::simulate_policy(in, dp);
-    const auto b = core::simulate_policy(in, milp);
-    EXPECT_NEAR(a.total_cost(), b.total_cost(),
-                1e-4 * (1.0 + a.total_cost()))
-        << base.name;
-    EXPECT_EQ(a.rentals, b.rentals) << base.name;
-  }
-}
-
 TEST_F(EndToEnd, FullEvaluationOrdering) {
   // The paper's headline ordering on a fresh window: ideal <= every
   // policy, and planned policies beat no-plan.

@@ -118,7 +118,7 @@ TEST(MarkovPrices, TreeFeedsTheDpSolver) {
   inst.tree = model.build_tree(0.06, bids, 0.2, widths);
   const auto dp = solve_srrp_tree_dp(inst);
   EXPECT_GT(dp.expected_cost, 0.0);
-  const auto agg = solve_srrp(inst, {}, SrrpFormulation::Aggregated);
+  const auto agg = solve_srrp_milp(inst);
   ASSERT_TRUE(agg.feasible());
   EXPECT_NEAR(dp.expected_cost, agg.expected_cost, 1e-6);
 }

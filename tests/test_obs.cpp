@@ -9,10 +9,12 @@
 #include <atomic>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/deadline.hpp"
+#include "core/drrp.hpp"
 #include "obs/obs.hpp"
 
 namespace rrp_test {
@@ -255,6 +257,55 @@ TEST_F(ObsTraceSpan, ChromeTraceJsonShape) {
   EXPECT_NE(json.find("\"dur\":500000"), std::string::npos);  // 0.5 s in us
   EXPECT_NE(json.find("\"args\":{\"node\":3"), std::string::npos);
   EXPECT_EQ(json.substr(json.size() - 2), "]}");
+}
+
+// A real capacitated solve through the planner entry: per thread, the
+// branch & bound spans nest as bnb.solve > bnb.node > lp.*.
+TEST_F(ObsTraceSpan, CapacitatedSolveNestsBnbAndLpSpans) {
+  if (!RRP_OBSERVABILITY_ENABLED) GTEST_SKIP() << "spans compiled out";
+  obs::TraceRecorder::instance().set_clock(nullptr);  // real durations
+  core::DrrpInstance inst;
+  inst.demand.assign(6, 0.4);
+  inst.compute_price.assign(6, 2.0);
+  inst.bottleneck_rate = 1.0;
+  inst.bottleneck_capacity.assign(6, 0.5);
+  ASSERT_TRUE(inst.capacitated());
+  const core::RentalPlan plan = core::solve_drrp(inst);
+  ASSERT_EQ(plan.status, milp::MipStatus::Optimal);
+  ASSERT_GT(plan.nodes_explored, 0u);
+
+  const auto spans = obs::TraceRecorder::instance().collect();
+  auto named = [](const obs::SpanRecord& s, std::string_view prefix) {
+    return std::string_view(s.name).rfind(prefix, 0) == 0;
+  };
+  // Start and duration come from separate clock reads; allow rounding.
+  auto within = [](const obs::SpanRecord& in, const obs::SpanRecord& out) {
+    constexpr double kSlack = 1e-9;
+    return in.tid == out.tid && in.depth > out.depth &&
+           in.start_seconds + kSlack >= out.start_seconds &&
+           in.start_seconds + in.dur_seconds <=
+               out.start_seconds + out.dur_seconds + kSlack;
+  };
+  auto inside = [&](const obs::SpanRecord& s, std::string_view parent) {
+    return std::any_of(spans.begin(), spans.end(),
+                       [&](const obs::SpanRecord& o) {
+                         return named(o, parent) && within(s, o);
+                       });
+  };
+  std::size_t nodes = 0;
+  std::size_t lps_in_nodes = 0;
+  for (const obs::SpanRecord& s : spans) {
+    if (named(s, "bnb.node")) {
+      ++nodes;
+      EXPECT_TRUE(inside(s, "bnb.solve"));
+    }
+    if (named(s, "lp.")) {
+      EXPECT_TRUE(inside(s, "bnb.solve")) << s.name;
+      if (inside(s, "bnb.node")) ++lps_in_nodes;
+    }
+  }
+  EXPECT_GT(nodes, 0u);
+  EXPECT_GT(lps_in_nodes, 0u);
 }
 
 // TSan target: spans opened/closed on many threads while a collector

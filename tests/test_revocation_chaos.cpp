@@ -224,36 +224,6 @@ TEST(RevocationChaos, ModelTimelineDeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.total_cost(), b.total_cost());
 }
 
-// Same injector schedule => identical revocation timeline regardless of
-// the branch & bound worker count (the --jobs knob must not leak into
-// fault consumption).
-TEST(RevocationChaos, InjectorTimelineIdenticalAcrossJobCounts) {
-  const SimulationInputs in = chaos_inputs(55);
-  FaultInjector inj(21);
-  inj.schedule_revocations(kHorizon, 0.5, 0.4);
-
-  std::vector<SimulationResult> results;
-  for (std::size_t jobs : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    PolicyConfig policy = det_exp_mean_policy();
-    policy.backend = PlannerBackend::Milp;
-    policy.solver.jobs = jobs;
-    results.push_back(simulate_policy(in, policy, &inj));
-  }
-  for (std::size_t j = 1; j < results.size(); ++j) {
-    ASSERT_EQ(results[0].revocations.size(), results[j].revocations.size());
-    for (std::size_t i = 0; i < results[0].revocations.size(); ++i) {
-      EXPECT_EQ(results[0].revocations[i].slot,
-                results[j].revocations[i].slot);
-      EXPECT_EQ(results[0].revocations[i].kind,
-                results[j].revocations[i].kind);
-      EXPECT_DOUBLE_EQ(results[0].revocations[i].fraction,
-                       results[j].revocations[i].fraction);
-    }
-    EXPECT_NEAR(results[0].total_cost(), results[j].total_cost(), 1e-9);
-  }
-  EXPECT_GT(results[0].revocations.size(), 0u);
-}
-
 // The ladder's rungs respond to the config: hazards re-acquire spot
 // when allowed, storms migrate, and with both rungs off everything
 // lands on the on-demand backstop.

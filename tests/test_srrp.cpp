@@ -43,7 +43,7 @@ TEST(Srrp, DegenerateTreeEqualsDrrp) {
   std::vector<double> prices = {0.06, 0.055, 0.07, 0.05, 0.065, 0.06};
   for (double p : prices) supports.push_back(support({{p, 1.0}}));
   auto srrp_inst = make_instance(demand, supports);
-  const SrrpPolicy policy = solve_srrp(srrp_inst);
+  const SrrpPolicy policy = solve_srrp_milp(srrp_inst);
   ASSERT_TRUE(policy.feasible());
 
   DrrpInstance drrp_inst;
@@ -63,7 +63,7 @@ TEST(Srrp, InventoryBalanceAlongEveryScenario) {
       support({{0.06, 1.0}})};
   auto inst = make_instance(demand, supports);
   inst.initial_storage = 0.2;
-  const SrrpPolicy policy = solve_srrp(inst);
+  const SrrpPolicy policy = solve_srrp_milp(inst);
   ASSERT_TRUE(policy.feasible());
   for (std::size_t leaf : inst.tree.leaves()) {
     double store = inst.initial_storage;
@@ -83,7 +83,7 @@ TEST(Srrp, ForcingConstraintHoldsPerVertex) {
       support({{0.05, 0.6}, {0.3, 0.4}}),
       support({{0.05, 0.6}, {0.3, 0.4}}), support({{0.06, 1.0}})};
   auto inst = make_instance(demand, supports);
-  const SrrpPolicy policy = solve_srrp(inst);
+  const SrrpPolicy policy = solve_srrp_milp(inst);
   ASSERT_TRUE(policy.feasible());
   for (std::size_t v = 1; v < inst.tree.num_vertices(); ++v) {
     if (!policy.chi[v]) {
@@ -103,7 +103,7 @@ TEST(Srrp, RecourseAdaptsToPriceState) {
       support({{0.4, 1.0}})};
   auto inst = make_instance(demand, supports);
   inst.initial_storage = 0.4;  // slot-1 demand can be served from storage
-  const SrrpPolicy policy = solve_srrp(inst);
+  const SrrpPolicy policy = solve_srrp_milp(inst);
   ASSERT_TRUE(policy.feasible());
   const auto& s1 = inst.tree.stage_vertices(1);
   const std::size_t cheap = s1[0], dear = s1[1];
@@ -118,7 +118,7 @@ TEST(Srrp, ExpectedCostMatchesManualRecomputation) {
   std::vector<std::vector<PricePoint>> supports = {
       support({{0.05, 0.7}, {0.09, 0.3}}), support({{0.06, 1.0}})};
   auto inst = make_instance(demand, supports);
-  const SrrpPolicy policy = solve_srrp(inst);
+  const SrrpPolicy policy = solve_srrp_milp(inst);
   ASSERT_TRUE(policy.feasible());
   double expected = 0.0;
   for (std::size_t v = 1; v < inst.tree.num_vertices(); ++v) {
@@ -144,7 +144,7 @@ TEST(Srrp, StochasticSolutionBeatsNaiveFixedPlanInExpectation) {
       support({{0.04, 0.5}, {0.30, 0.5}}),
       support({{0.04, 0.5}, {0.30, 0.5}})};
   auto inst = make_instance(demand, supports);
-  const SrrpPolicy policy = solve_srrp(inst);
+  const SrrpPolicy policy = solve_srrp_milp(inst);
   ASSERT_TRUE(policy.feasible());
 
   // Deterministic plan at the expected price 0.17 per slot.
@@ -211,50 +211,5 @@ TEST(MatchStage1Vertex, FallsBackWhenKindMissing) {
   const std::size_t v = match_stage1_vertex(tree, false, 0.08);
   EXPECT_EQ(v, tree.stage_vertices(1)[1]);  // nearest by price
 }
-
-}  // namespace
-
-// -- Formulation agreement ---------------------------------------------
-
-namespace {
-
-using namespace rrp::core;
-
-std::vector<PricePoint> support2(
-    std::initializer_list<std::pair<double, double>> price_probs) {
-  std::vector<PricePoint> out;
-  for (const auto& [price, prob] : price_probs)
-    out.push_back(PricePoint{price, prob, false});
-  return out;
-}
-
-class SrrpFormulationAgreement : public ::testing::TestWithParam<int> {};
-
-TEST_P(SrrpFormulationAgreement, AggregatedAndFacilityLocationMatch) {
-  rrp::Rng rng(9000 + static_cast<std::uint64_t>(GetParam()));
-  const auto demand = generate_demand(3, DemandConfig{}, rng);
-  std::vector<std::vector<PricePoint>> supports;
-  for (int stage = 0; stage < 3; ++stage) {
-    const double lo = rng.uniform(0.02, 0.08);
-    const double hi = lo + rng.uniform(0.05, 0.4);
-    const double p = rng.uniform(0.2, 0.8);
-    supports.push_back(support2({{lo, p}, {hi, 1.0 - p}}));
-  }
-  SrrpInstance inst;
-  inst.demand = demand;
-  inst.tree = ScenarioTree::build(supports);
-  inst.initial_storage = GetParam() % 2 == 0 ? 0.0 : 0.3;
-  const SrrpPolicy agg = solve_srrp(inst, {}, SrrpFormulation::Aggregated);
-  const SrrpPolicy fl =
-      solve_srrp(inst, {}, SrrpFormulation::FacilityLocation);
-  ASSERT_TRUE(agg.feasible());
-  ASSERT_TRUE(fl.feasible());
-  EXPECT_NEAR(agg.expected_cost, fl.expected_cost,
-              1e-5 * (1.0 + agg.expected_cost))
-      << "trial " << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, SrrpFormulationAgreement,
-                         ::testing::Range(0, 10));
 
 }  // namespace

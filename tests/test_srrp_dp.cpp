@@ -1,5 +1,5 @@
 // Validation of the exact scenario-tree dynamic program against the
-// MILP deterministic equivalents, plus structural checks of its plans.
+// MILP deterministic equivalent, plus structural checks of its plans.
 #include "core/srrp_dp.hpp"
 
 #include <gtest/gtest.h>
@@ -49,7 +49,7 @@ TEST_P(TreeDpAgreement, MatchesAggregatedMilp) {
   const auto inst = random_tree_instance(
       4000 + static_cast<std::uint64_t>(GetParam()), 3, 2, eps);
   const SrrpPolicy dp = solve_srrp_tree_dp(inst);
-  const SrrpPolicy agg = solve_srrp(inst, {}, SrrpFormulation::Aggregated);
+  const SrrpPolicy agg = solve_srrp_milp(inst);
   ASSERT_TRUE(agg.feasible());
   EXPECT_NEAR(dp.expected_cost, agg.expected_cost,
               1e-6 * (1.0 + agg.expected_cost));
@@ -58,13 +58,14 @@ TEST_P(TreeDpAgreement, MatchesAggregatedMilp) {
 INSTANTIATE_TEST_SUITE_P(Sweep, TreeDpAgreement, ::testing::Range(0, 12));
 
 TEST(TreeDp, MatchesStrengthenedMilpOnWiderTree) {
+  // The MILP is strengthened by its root (l,S) cuts, one chain per
+  // scenario path.
   const auto inst = random_tree_instance(4444, 4, 2, 0.25);
   const SrrpPolicy dp = solve_srrp_tree_dp(inst);
-  const SrrpPolicy fl =
-      solve_srrp(inst, {}, SrrpFormulation::FacilityLocation);
-  ASSERT_TRUE(fl.feasible());
-  EXPECT_NEAR(dp.expected_cost, fl.expected_cost,
-              1e-5 * (1.0 + fl.expected_cost));
+  const SrrpPolicy milp = solve_srrp_milp(inst);
+  ASSERT_TRUE(milp.feasible());
+  EXPECT_NEAR(dp.expected_cost, milp.expected_cost,
+              1e-5 * (1.0 + milp.expected_cost));
 }
 
 TEST(TreeDp, PlanSatisfiesTreeBalanceAndForcing) {
@@ -157,7 +158,7 @@ TEST(TreeDp, InventorySharingAcrossBranchesBeatsNaivePairwiseFl) {
   // Production happens at stage 1 (price ~0.05) in both states --
   // total expected compute ~0.05, never ~5.
   EXPECT_LT(dp.expected_cost, 1.0);
-  const SrrpPolicy agg = solve_srrp(inst, {}, SrrpFormulation::Aggregated);
+  const SrrpPolicy agg = solve_srrp_milp(inst);
   EXPECT_NEAR(dp.expected_cost, agg.expected_cost, 1e-6);
 }
 

@@ -1,7 +1,6 @@
-// Cross-validation of the three exact DRRP solvers: the paper's
-// aggregated MILP, the facility-location MILP, and the Wagner-Whitin
-// dynamic program must agree on the optimum for uncapacitated
-// instances.
+// Cross-validation of the two exact DRRP solvers: the paper's MILP and
+// the Wagner-Whitin dynamic program must agree on the optimum for
+// uncapacitated instances.
 #include "core/wagner_whitin.hpp"
 
 #include <gtest/gtest.h>
@@ -35,15 +34,9 @@ TEST_P(SolverAgreement, AllThreeSolversMatch) {
       random_instance(7000 + static_cast<std::uint64_t>(GetParam()),
                       6 + static_cast<std::size_t>(GetParam()) % 7);
   const RentalPlan ww = solve_drrp_wagner_whitin(inst);
-  const RentalPlan fl =
-      solve_drrp(inst, {}, DrrpFormulation::FacilityLocation);
-  const RentalPlan agg =
-      solve_drrp(inst, {}, DrrpFormulation::Aggregated);
+  const RentalPlan agg = solve_drrp_milp(inst);
   ASSERT_EQ(ww.status, rrp::milp::MipStatus::Optimal);
-  ASSERT_TRUE(fl.feasible());
   ASSERT_TRUE(agg.feasible());
-  EXPECT_NEAR(ww.cost.total(), fl.cost.total(),
-              1e-5 * (1.0 + ww.cost.total()));
   EXPECT_NEAR(ww.cost.total(), agg.cost.total(),
               1e-5 * (1.0 + ww.cost.total()));
 }
@@ -53,9 +46,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, SolverAgreement, ::testing::Range(0, 15));
 TEST(WagnerWhitin, MatchesMilpOnLongerHorizon) {
   const auto inst = random_instance(8101, 24);
   const RentalPlan ww = solve_drrp_wagner_whitin(inst);
-  const RentalPlan fl =
-      solve_drrp(inst, {}, DrrpFormulation::FacilityLocation);
-  EXPECT_NEAR(ww.cost.total(), fl.cost.total(), 1e-5);
+  const RentalPlan milp = solve_drrp_milp(inst);
+  EXPECT_NEAR(ww.cost.total(), milp.cost.total(), 1e-5);
 }
 
 TEST(WagnerWhitin, PlanIsFeasible) {
@@ -110,9 +102,8 @@ TEST(WagnerWhitin, HandlesZeroDemandSlots) {
   inst.demand = {0.0, 0.5, 0.0, 0.0, 0.7, 0.0};
   inst.compute_price.assign(6, 0.4);
   const RentalPlan ww = solve_drrp_wagner_whitin(inst);
-  const RentalPlan fl =
-      solve_drrp(inst, {}, DrrpFormulation::FacilityLocation);
-  EXPECT_NEAR(ww.cost.total(), fl.cost.total(), 1e-6);
+  const RentalPlan milp = solve_drrp_milp(inst);
+  EXPECT_NEAR(ww.cost.total(), milp.cost.total(), 1e-6);
   EXPECT_EQ(ww.chi[0], 0);
 }
 
@@ -126,9 +117,8 @@ TEST(WagnerWhitin, LargeEpsilonCoversEverything) {
   EXPECT_NEAR(ww.cost.compute, 0.0, 1e-12);
   // The leftover 0.5 GB is held to the end of the horizon.
   EXPECT_NEAR(ww.beta.back(), 0.5, 1e-9);
-  const RentalPlan fl =
-      solve_drrp(inst, {}, DrrpFormulation::FacilityLocation);
-  EXPECT_NEAR(ww.cost.total(), fl.cost.total(), 1e-6);
+  const RentalPlan milp = solve_drrp_milp(inst);
+  EXPECT_NEAR(ww.cost.total(), milp.cost.total(), 1e-6);
 }
 
 TEST(WagnerWhitinDeadline, ExpiredDeadlineThrows) {

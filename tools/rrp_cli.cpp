@@ -22,9 +22,9 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/demand.hpp"
+#include "core/drrp.hpp"
 #include "core/evaluation.hpp"
 #include "core/rolling_horizon.hpp"
-#include "core/wagner_whitin.hpp"
 #include "market/auction.hpp"
 #include "market/trace_generator.hpp"
 #include "obs/obs.hpp"
@@ -223,10 +223,7 @@ int cmd_plan(const Args& args) {
   if (args.help()) {
     std::cout << "rrp plan [--class m1.large] [--hours 24] [--price P] "
                  "[--demand-mean 0.4] [--demand-sd 0.2] [--storage E] "
-                 "[--solver dp|milp] [--jobs N] [--seed N]\n"
-                 "  --solver milp solves the exact DRRP MILP by branch & "
-                 "bound (--jobs worker\n  threads, 0 = all cores); the "
-                 "default dp backend is the Wagner-Whitin recursion.\n";
+                 "[--seed N]\n";
     return 0;
   }
   const market::VmClass vm = market::from_name(args.get("class",
@@ -244,18 +241,7 @@ int cmd_plan(const Args& args) {
       args.get_double("price", market::info(vm).on_demand_hourly));
   inst.initial_storage = args.get_double("storage", 0.0);
 
-  const std::string solver_name = args.get("solver", "dp");
-  core::RentalPlan plan;
-  if (solver_name == "milp") {
-    milp::BnbOptions solver;
-    solver.jobs = static_cast<std::size_t>(args.get_u64("jobs", 0));
-    plan = core::solve_drrp(inst, solver);
-  } else if (solver_name == "dp") {
-    plan = core::solve_drrp_wagner_whitin(inst);
-  } else {
-    std::cerr << "unknown solver: " << solver_name << " (want dp|milp)\n";
-    return 2;
-  }
+  const core::RentalPlan plan = core::solve_drrp(inst);
   if (!plan.feasible()) {
     std::cerr << "rrp plan: solver returned " << milp::to_string(plan.status)
               << "\n";
@@ -276,17 +262,6 @@ int cmd_plan(const Args& args) {
             << Table::num(naive.cost.total(), 3) << " (saving "
             << Table::pct(1.0 - plan.cost.total() / naive.cost.total())
             << ")\n";
-  if (solver_name == "milp") {
-    const std::size_t total_lps =
-        plan.warm_started_nodes + plan.cold_solved_nodes;
-    std::cout << "b&b nodes " << plan.nodes_explored << ", warm-started LPs "
-              << plan.warm_started_nodes << "/" << total_lps;
-    if (plan.cuts_added > 0) {
-      std::cout << ", root cuts " << plan.cuts_added << " (gap closed "
-                << Table::pct(plan.root_gap_closed) << ")";
-    }
-    std::cout << "\n";
-  }
   return 0;
 }
 
@@ -461,20 +436,6 @@ int cmd_simulate(const Args& args) {
   table.add_row({"compute", Table::num(result.cost.compute, 3)});
   table.add_row({"I/O+storage", Table::num(result.cost.holding, 3)});
   table.add_row({"transfer", Table::num(result.cost.transfer(), 3)});
-  if (result.solver_nodes_explored > 0) {
-    table.add_row({"b&b nodes explored",
-                   std::to_string(result.solver_nodes_explored)});
-    const std::size_t total_lps = result.solver_warm_started_nodes +
-                                  result.solver_cold_solved_nodes;
-    if (total_lps > 0)
-      table.add_row(
-          {"warm-started LPs",
-           Table::pct(static_cast<double>(result.solver_warm_started_nodes) /
-                      static_cast<double>(total_lps))});
-    if (result.solver_cuts_added > 0)
-      table.add_row({"root cuts added",
-                     std::to_string(result.solver_cuts_added)});
-  }
   table.add_row({"degraded re-plans",
                  std::to_string(result.degraded_replans())});
   if (result.degraded_replans() > 0) {
@@ -618,7 +579,7 @@ int main(int argc, char** argv) {
       {"plan",
        cmd_plan,
        {"class", "hours", "price", "demand-mean", "demand-sd", "storage",
-        "solver", "jobs", "seed"}},
+        "seed"}},
       {"simulate",
        cmd_simulate,
        {"class", "hours", "policy", "replan", "replan-mode", "model-update",

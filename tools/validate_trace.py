@@ -17,7 +17,7 @@ accept and that the spans are physically plausible:
 Exit status 0 when valid; 1 with a diagnostic otherwise.  Used by the
 CI obs-off job (README "Observability") and usable standalone:
 
-    python3 tools/validate_trace.py plan_trace.json
+    python3 tools/validate_trace.py sim_trace.json
 """
 
 from __future__ import annotations
