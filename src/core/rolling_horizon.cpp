@@ -105,10 +105,11 @@ namespace {
 constexpr double kPriceFloor = 1e-4;
 
 /// Process-wide degradation telemetry, fed unconditionally (not through
-/// the compile-out macros): the SimulationResult fallback counters are
-/// computed as before/after deltas over these in PolicyRunner::run(),
-/// so they must advance in RRP_OBSERVABILITY=OFF builds too.  (Same
-/// pattern as SolveCounters in milp/branch_and_bound.cpp.)
+/// the compile-out macros) so the metrics scrape carries it in
+/// RRP_OBSERVABILITY=OFF builds too.  SimulationResult never reads it
+/// back: each run counts its own FallbackEvents, which keeps the result
+/// fields exact when simulations overlap.  (Same pattern as BnbCounters
+/// in milp/branch_and_bound.cpp.)
 struct RhCounters {
   obs::Counter& replans = obs::global_registry().counter("rrp.rh.replans");
   obs::Counter& replan_timeouts =
@@ -853,20 +854,6 @@ void PolicyRunner::observe_tick(std::size_t t) {
 
 SimulationResult PolicyRunner::run() {
   RRP_TRACE_SPAN("rh.simulate");
-  // Compatibility view: the SimulationResult degradation counters are
-  // deltas over the process-wide registry across this simulation.
-  // Exact whenever simulations do not overlap in one process; under
-  // evaluate_policies' parallel trials the overlapping windows can
-  // cross-attribute these diagnostics, but that path consumes only
-  // costs and per-slot records, never the fallback counts.
-  const RhCounters& tel = rh_counters();
-  const std::uint64_t timeouts0 = tel.replan_timeouts.value();
-  const std::uint64_t numerical0 = tel.replan_numerical_failures.value();
-  const std::uint64_t rejected0 = tel.replans_rejected.value();
-  const std::uint64_t reused0 = tel.fallback_reused_tail.value();
-  const std::uint64_t heuristic0 = tel.fallback_heuristic.value();
-  const std::uint64_t on_demand0 = tel.fallback_on_demand.value();
-
   const std::size_t T = in_.horizon();
   result_.slots.reserve(T);
   double store = in_.initial_storage;
@@ -924,18 +911,22 @@ SimulationResult PolicyRunner::run() {
     observe_tick(t);
   }
 
-  result_.replan_timeouts =
-      static_cast<std::size_t>(tel.replan_timeouts.value() - timeouts0);
-  result_.replan_numerical_failures = static_cast<std::size_t>(
-      tel.replan_numerical_failures.value() - numerical0);
-  result_.replans_rejected =
-      static_cast<std::size_t>(tel.replans_rejected.value() - rejected0);
-  result_.fallback_reused_tail =
-      static_cast<std::size_t>(tel.fallback_reused_tail.value() - reused0);
-  result_.fallback_heuristic =
-      static_cast<std::size_t>(tel.fallback_heuristic.value() - heuristic0);
-  result_.fallback_on_demand =
-      static_cast<std::size_t>(tel.fallback_on_demand.value() - on_demand0);
+  for (const FallbackEvent& ev : result_.fallbacks) {
+    switch (ev.reason) {
+      case FallbackReason::SolverTimeout: ++result_.replan_timeouts; break;
+      case FallbackReason::NumericalFailure:
+        ++result_.replan_numerical_failures;
+        break;
+      case FallbackReason::PlanRejected: ++result_.replans_rejected; break;
+    }
+    switch (ev.action) {
+      case FallbackAction::ReusedPlanTail:
+        ++result_.fallback_reused_tail;
+        break;
+      case FallbackAction::HeuristicPlan: ++result_.fallback_heuristic; break;
+      case FallbackAction::OnDemand: ++result_.fallback_on_demand; break;
+    }
+  }
   return std::move(result_);
 }
 

@@ -144,6 +144,7 @@ struct SimulationResult {
   // --- Degradation telemetry (one FallbackEvent per failed re-plan). ---
   std::vector<FallbackEvent> fallbacks;
   std::vector<PriceFeedEvent> price_faults;
+  /// `fallbacks` tallied by reason, then by action.
   std::size_t replan_timeouts = 0;
   std::size_t replan_numerical_failures = 0;
   std::size_t replans_rejected = 0;

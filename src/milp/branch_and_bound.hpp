@@ -3,8 +3,8 @@
 // The paper solves DRRP and the deterministic-equivalent SRRP with a
 // commercial B&B (CPLEX via AIMMS); this module is the from-scratch
 // replacement.  It supports best-bound and depth-first node selection,
-// most-fractional / first-fractional / pseudocost branching, a rounding
-// heuristic for early incumbents, and relative/absolute gap termination.
+// branches on the most fractional integer variable, runs a rounding
+// heuristic for early incumbents, and stops on a relative/absolute gap.
 //
 // Two performance levers sit on top of the plain tree search:
 //
@@ -38,12 +38,6 @@ enum class NodeSelection {
   DepthFirst,  ///< dive; finds incumbents fast, default for rolling use
 };
 
-enum class Branching {
-  MostFractional,
-  FirstFractional,
-  PseudoCost,  ///< most-fractional until pseudocosts are initialised
-};
-
 enum class MipStatus {
   Optimal,
   Infeasible,
@@ -62,12 +56,10 @@ const char* to_string(MipStatus status);
 
 struct BnbOptions {
   NodeSelection node_selection = NodeSelection::BestBound;
-  Branching branching = Branching::MostFractional;
   double integrality_tol = 1e-6;
   double relative_gap = 1e-6;
   double absolute_gap = 1e-9;
   std::size_t max_nodes = 200000;
-  bool rounding_heuristic = true;
   /// Warm start node LPs from the parent node's optimal basis (dual
   /// simplex re-optimisation).  Off = every node pays a cold two-phase
   /// solve; kept as a switch so benchmarks and tests can compare.
@@ -88,10 +80,6 @@ struct BnbOptions {
   /// separation runs in rounds on the root relaxation before the tree
   /// search starts, re-optimising with the dual simplex per round.
   bool root_cuts = true;
-  /// Separation rounds at the root (each round re-solves the LP).
-  std::size_t max_cut_rounds = 8;
-  /// Minimum violation for a separated cut to be added.
-  double cut_violation_tol = 1e-6;
   lp::SimplexOptions lp;
 };
 

@@ -141,40 +141,6 @@ TEST(BranchAndBound, DepthFirstAndBestBoundAgree) {
   }
 }
 
-TEST(BranchAndBound, BranchingRulesAgreeOnOptimum) {
-  rrp::Rng rng(78);
-  for (int trial = 0; trial < 6; ++trial) {
-    Model m;
-    LinExpr value, w1, w2;
-    for (int i = 0; i < 8; ++i) {
-      const Var b = m.add_binary();
-      value += rng.uniform(1.0, 15.0) * LinExpr(b);
-      w1 += rng.uniform(1.0, 8.0) * LinExpr(b);
-      w2 += rng.uniform(1.0, 8.0) * LinExpr(b);
-    }
-    m.set_objective(value, Objective::Maximize);
-    m.add_constraint(std::move(w1) <= 18.0);
-    m.add_constraint(std::move(w2) <= 15.0);
-
-    double reference = 0.0;
-    bool first = true;
-    for (Branching rule : {Branching::MostFractional,
-                           Branching::FirstFractional,
-                           Branching::PseudoCost}) {
-      BnbOptions opt;
-      opt.branching = rule;
-      const MipResult r = solve(m, opt);
-      ASSERT_EQ(r.status, MipStatus::Optimal);
-      if (first) {
-        reference = r.objective;
-        first = false;
-      } else {
-        EXPECT_NEAR(r.objective, reference, 1e-5);
-      }
-    }
-  }
-}
-
 TEST(BranchAndBound, SolutionIsIntegral) {
   Model m;
   const Var x = m.add_integer(0.0, 100.0);
@@ -199,7 +165,6 @@ TEST(BranchAndBound, NodeLimitReportsIncumbentState) {
   m.add_constraint(std::move(weight) <= 40.0);
   BnbOptions opt;
   opt.max_nodes = 3;
-  opt.rounding_heuristic = true;
   const MipResult r = solve(m, opt);
   // With only 3 nodes we may or may not have an incumbent from the
   // heuristic, but the status must reflect it faithfully.

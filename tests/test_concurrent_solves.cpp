@@ -2,8 +2,9 @@
 // (nodes, warm/cold node LPs, cuts, LP iterations, recoveries and the
 // sparse-LU factor_stats) counts the work of its own solve only, so
 // solves overlapping on separate threads must report exactly what the
-// same call reports when run alone.  Part of the TSan suite (CI job
-// tsan-concurrency).
+// same call reports when run alone.  The same holds for the
+// SimulationResult degradation counts of overlapping simulations.  Part
+// of the TSan suite (CI job tsan-concurrency).
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -17,8 +18,11 @@
 #include "common/rng.hpp"
 #include "core/demand.hpp"
 #include "core/drrp.hpp"
+#include "core/policies.hpp"
 #include "core/price_distribution.hpp"
+#include "core/rolling_horizon.hpp"
 #include "core/srrp.hpp"
+#include "market/trace_generator.hpp"
 #include "milp/branch_and_bound.hpp"
 
 namespace {
@@ -173,6 +177,95 @@ TEST(ConcurrentSolveTelemetry, OverlappingSolvesMatchSoloRuns) {
       expect_same(solo[i % solves.size()], got[i],
                   "round " + std::to_string(round) + " solve " +
                       std::to_string(i % solves.size()));
+  }
+}
+
+core::SimulationInputs simulation_inputs(std::size_t horizon) {
+  const auto trace =
+      market::generate_trace(market::VmClass::C1Medium, 17);
+  const auto hourly = trace.hourly();
+  const long history_hours = 240;
+  core::SimulationInputs in;
+  in.vm = market::VmClass::C1Medium;
+  in.history.assign(hourly.begin(), hourly.begin() + history_hours);
+  in.actual_spot.assign(
+      hourly.begin() + history_hours,
+      hourly.begin() + history_hours + static_cast<long>(horizon));
+  Rng rng(19);
+  in.demand = core::generate_demand(horizon, core::DemandConfig{}, rng);
+  return in;
+}
+
+/// Injector i faults i + 1 slots of every 6 across the whole horizon:
+/// timeouts at even slots, numerical failures at odd ones.
+void arm_schedule(rrp::testing::FaultInjector& inj, std::size_t i,
+                  std::size_t horizon) {
+  for (std::size_t t = 0; t < horizon; ++t) {
+    if (t % 6 > i) continue;
+    if (t % 2 == 0)
+      inj.inject_solver_timeout(t);
+    else
+      inj.inject_solver_numerical_failure(t);
+  }
+}
+
+void expect_same_fallbacks(const core::SimulationResult& serial,
+                           const core::SimulationResult& got,
+                           const std::string& what) {
+  EXPECT_EQ(got.replan_timeouts, serial.replan_timeouts) << what;
+  EXPECT_EQ(got.replan_numerical_failures, serial.replan_numerical_failures)
+      << what;
+  EXPECT_EQ(got.replans_rejected, serial.replans_rejected) << what;
+  EXPECT_EQ(got.fallback_reused_tail, serial.fallback_reused_tail) << what;
+  EXPECT_EQ(got.fallback_heuristic, serial.fallback_heuristic) << what;
+  EXPECT_EQ(got.fallback_on_demand, serial.fallback_on_demand) << what;
+  ASSERT_EQ(got.fallbacks.size(), serial.fallbacks.size()) << what;
+  for (std::size_t k = 0; k < got.fallbacks.size(); ++k) {
+    EXPECT_EQ(got.fallbacks[k].slot, serial.fallbacks[k].slot) << what;
+    EXPECT_EQ(got.fallbacks[k].reason, serial.fallbacks[k].reason) << what;
+    EXPECT_EQ(got.fallbacks[k].action, serial.fallbacks[k].action) << what;
+  }
+}
+
+TEST(ConcurrentSimulations, FallbackCountsMatchSerialRuns) {
+  constexpr std::size_t kHorizon = 48;
+  constexpr std::size_t kThreads = 6;
+  const core::SimulationInputs in = simulation_inputs(kHorizon);
+  const core::PolicyConfig policy = core::sto_exp_mean_policy();
+
+  std::vector<core::SimulationResult> serial;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    rrp::testing::FaultInjector inj(i);
+    arm_schedule(inj, i, kHorizon);
+    serial.push_back(core::simulate_policy(in, policy, &inj));
+  }
+  // Distinct schedules give distinct counts, so cross-attribution
+  // between the runs cannot cancel out.
+  for (std::size_t i = 1; i < kThreads; ++i) {
+    EXPECT_GT(serial[i].fallbacks.size(), serial[i - 1].fallbacks.size());
+    EXPECT_GT(serial[i].replan_numerical_failures, 0u);
+  }
+
+  // Several rounds, so the runs overlap even when one round's threads
+  // happen to start apart.
+  constexpr int kRounds = 5;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<core::SimulationResult> got(kThreads);
+    std::latch start(static_cast<std::ptrdiff_t>(kThreads));
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        rrp::testing::FaultInjector inj(i);
+        arm_schedule(inj, i, kHorizon);
+        start.arrive_and_wait();
+        got[i] = core::simulate_policy(in, policy, &inj);
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (std::size_t i = 0; i < kThreads; ++i)
+      expect_same_fallbacks(serial[i], got[i],
+                            "round " + std::to_string(round) +
+                                " simulation " + std::to_string(i));
   }
 }
 

@@ -1,4 +1,5 @@
-#include "common/matrix.hpp"
+#include "matrix.hpp"
+
 
 #include <gtest/gtest.h>
 
@@ -9,7 +10,7 @@
 
 namespace {
 
-using rrp::Matrix;
+using rrp::testing::Matrix;
 
 TEST(Matrix, IdentityActsAsNeutralElement) {
   const Matrix i3 = Matrix::identity(3);

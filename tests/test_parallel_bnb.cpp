@@ -1,11 +1,11 @@
 // Determinism and robustness of the parallel, warm-started branch &
 // bound (ISSUE 5).  The contract under test:
 //
-//   * With zero gap tolerances and most-fractional branching, the final
-//     optimal objective and proven bound are *bit-identical* across any
-//     jobs count — parallel exploration may visit a different set of
-//     nodes, but every pruned subtree is dominated by the incumbent, so
-//     the returned optimum cannot depend on scheduling.
+//   * With zero gap tolerances, the final optimal objective and proven
+//     bound are *bit-identical* across any jobs count — parallel
+//     exploration may visit a different set of nodes, but every pruned
+//     subtree is dominated by the incumbent, so the returned optimum
+//     cannot depend on scheduling.
 //   * Warm starts change the pivot paths (hence the tree), never the
 //     answer: warm-on vs warm-off agree to LP tolerance.
 //   * Injected LP failures and fake-clock deadlines are absorbed under
@@ -77,13 +77,12 @@ struct LotSizing {
   }
 };
 
-// Zero gap margins + most-fractional branching: the settings under
-// which the final objective is exploration-order independent.
+// Zero gap margins: the settings under which the final objective is
+// exploration-order independent.
 BnbOptions exact_options() {
   BnbOptions opt;
   opt.absolute_gap = 0.0;
   opt.relative_gap = 0.0;
-  opt.branching = Branching::MostFractional;
   return opt;
 }
 

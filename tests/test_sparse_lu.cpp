@@ -1,4 +1,4 @@
-// SparseLu validated against the dense rrp::Matrix reference: FTRAN /
+// SparseLu validated against the dense Matrix reference (matrix.hpp): FTRAN /
 // BTRAN solves, product-form eta updates, fill accounting, and the
 // singular-basis throw, over random sparse bases and the staircase
 // shapes the simplex actually produces on DRRP/SRRP relaxations.
@@ -10,12 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "common/matrix.hpp"
 #include "common/rng.hpp"
+#include "matrix.hpp"
 
 namespace {
 
-using rrp::Matrix;
+using rrp::testing::Matrix;
 using rrp::lp::Entry;
 using rrp::lp::SparseLu;
 
