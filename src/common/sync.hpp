@@ -98,7 +98,7 @@ class RRP_CAPABILITY("mutex") Mutex {
 
 /// RAII lock over a Mutex: acquires at construction, releases at
 /// destruction, with explicit unlock()/lock() for protocols that drop
-/// the lock mid-scope (e.g. TaskGroup's help-while-waiting loop).
+/// the lock mid-scope (e.g. the branch & bound worker's deadline poll).
 ///
 /// The constructor is [[nodiscard]] so the immediately-destructed
 /// temporary `MutexLock{mu_};` — which locks and unlocks in the same

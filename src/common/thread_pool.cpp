@@ -68,7 +68,15 @@ void ThreadPool::parallel_for(std::size_t n,
   futs.reserve(helpers);
   for (std::size_t i = 0; i < helpers; ++i) futs.push_back(submit(chunk));
   chunk();  // caller participates
-  for (auto& f : futs) f.get();
+  // Help while waiting: a helper may still sit in the queue behind tasks
+  // that themselves wait on this pool, so run queued work rather than
+  // park; nap briefly (woken early by the future) when the queue is empty.
+  for (auto& f : futs) {
+    while (f.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      if (!try_execute_one()) f.wait_for(std::chrono::milliseconds(1));
+    }
+    f.get();
+  }
   if (first_error) std::rethrow_exception(first_error);
 }
 
@@ -95,67 +103,6 @@ void ThreadPool::worker_loop() {
       tasks_.pop();
     }
     task();
-  }
-}
-
-TaskGroup::~TaskGroup() {
-  // Wait out stragglers so no task outlives the state it references; any
-  // exception was either already rethrown by wait() or is dropped here
-  // (destructors must not throw).
-  MutexLock lock(mutex_);
-  while (pending_ != 0) {
-    lock.unlock();
-    if (!pool_.try_execute_one()) {
-      lock.lock();
-      if (pending_ == 0) break;
-      done_cv_.wait_for(lock, std::chrono::milliseconds(1));
-      continue;
-    }
-    lock.lock();
-  }
-}
-
-void TaskGroup::run(std::function<void()> task) {
-  {
-    MutexLock lock(mutex_);
-    ++pending_;
-  }
-  pool_.submit([this, task = std::move(task)] {
-    try {
-      task();
-    } catch (...) {
-      MutexLock lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
-    }
-    // Notify under the mutex: once a waiter observes pending_ == 0 it
-    // may destroy this TaskGroup, so the notify must be sequenced
-    // before the waiter can re-acquire the lock and see the count.
-    MutexLock lock(mutex_);
-    --pending_;
-    done_cv_.notify_all();
-  });
-}
-
-void TaskGroup::wait() {
-  for (;;) {
-    {
-      MutexLock lock(mutex_);
-      if (pending_ == 0) {
-        std::exception_ptr err = std::exchange(first_error_, nullptr);
-        lock.unlock();
-        if (err) std::rethrow_exception(err);
-        return;
-      }
-    }
-    // Help: run queued pool tasks (ours or anyone's) instead of parking.
-    if (!pool_.try_execute_one()) {
-      MutexLock lock(mutex_);
-      if (pending_ == 0) continue;  // re-check the exit condition
-      // A tracked task is running on a worker but the queue is empty;
-      // nap briefly rather than spin (bounded because tracked tasks
-      // notify on completion).
-      done_cv_.wait_for(lock, std::chrono::milliseconds(1));
-    }
   }
 }
 

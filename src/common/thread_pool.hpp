@@ -1,10 +1,11 @@
 // A small fixed-size thread pool with a parallel_for helper.
 //
-// Used to fan out embarrassingly parallel work: per-VM-class MILP solves,
-// Monte-Carlo trials in the rolling-horizon simulator, and the SARIMA
-// order grid search.  All parallelism in rrp flows through this pool so
-// determinism is preserved: tasks receive their index and write to
-// pre-sized slots; no cross-task RNG sharing.
+// Used to fan out embarrassingly parallel work: per-VM-class
+// Wagner-Whitin solves, Monte-Carlo trials in the rolling-horizon
+// simulator, the SARIMA order grid search, and the workers of a
+// parallel branch & bound.  All parallelism in rrp flows through this
+// pool so determinism is preserved: tasks receive their index and write
+// to pre-sized slots; no cross-task RNG sharing.
 #pragma once
 
 #include <cstddef>
@@ -34,60 +35,25 @@ class ThreadPool {
   /// Enqueues a task; the returned future propagates exceptions.
   std::future<void> submit(std::function<void()> task);
 
-  /// Runs fn(i) for i in [0, n), blocking until all complete.  The first
-  /// captured exception is rethrown on the caller's thread.
+  /// Runs fn(i) for i in [0, n) on the caller and at most size() - 1
+  /// helpers, blocking until all complete.  The first captured exception
+  /// is rethrown on the caller's thread.  While a helper is unfinished
+  /// the caller runs queued pool tasks instead of parking, so nested
+  /// fan-out (parallel solves inside a parallel sweep) cannot deadlock
+  /// the fixed-size pool.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Pops one queued task (if any) and runs it on the calling thread.
-  /// Returns false when the queue was empty.  This is the "help while
-  /// waiting" primitive: a caller blocked on work it submitted can drain
-  /// the queue instead of sleeping, so nested fan-out (e.g. parallel
-  /// MILP solves inside a parallel simulation sweep) cannot deadlock the
-  /// pool.
-  bool try_execute_one();
 
  private:
   void worker_loop();
+  /// Pops one queued task (if any) and runs it on the calling thread.
+  /// Returns false when the queue was empty.
+  bool try_execute_one();
 
   std::vector<std::thread> workers_;
   Mutex mutex_;
   CondVar cv_;
   std::queue<std::packaged_task<void()>> tasks_ RRP_GUARDED_BY(mutex_);
   bool stopping_ RRP_GUARDED_BY(mutex_) = false;
-};
-
-/// A work handle over a batch of pool tasks.  `run` enqueues a task that
-/// is tracked by this group; `wait` blocks until every tracked task has
-/// finished, *helping* — executing queued pool tasks on the calling
-/// thread — while the group is still pending, and rethrows the first
-/// exception any tracked task raised.  Unlike collecting futures from
-/// ThreadPool::submit, a TaskGroup never parks the caller while runnable
-/// work exists, which keeps nested pool usage deadlock free.
-///
-/// The destructor waits for stragglers (swallowing their exceptions), so
-/// a group never outlives the state its tasks reference.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Enqueues `task` on the pool and tracks it in this group.
-  void run(std::function<void()> task);
-
-  /// Blocks until all tasks run so far have completed, executing queued
-  /// pool work on this thread while waiting.  Rethrows the first tracked
-  /// exception.  The group is reusable after wait() returns.
-  void wait();
-
- private:
-  ThreadPool& pool_;
-  Mutex mutex_;
-  CondVar done_cv_;
-  std::size_t pending_ RRP_GUARDED_BY(mutex_) = 0;
-  std::exception_ptr first_error_ RRP_GUARDED_BY(mutex_);
 };
 
 /// Shared process-wide pool for library internals.

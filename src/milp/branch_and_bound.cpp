@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <deque>
 #include <exception>
 #include <limits>
 #include <memory>
@@ -224,30 +223,16 @@ class Solver {
 
   // -- frontier helpers (compile-time contract: caller holds mtx_) ------
   bool frontier_empty_locked() const RRP_REQUIRES(mtx_) {
-    return heap_.empty() && stack_.empty();
+    return heap_.empty();
   }
-  void push_locked(Node&& n) RRP_REQUIRES(mtx_) {
-    if (opt_.node_selection == NodeSelection::BestBound)
-      heap_.push(std::move(n));
-    else
-      stack_.push_back(std::move(n));
-  }
+  void push_locked(Node&& n) RRP_REQUIRES(mtx_) { heap_.push(std::move(n)); }
   Node pop_locked() RRP_REQUIRES(mtx_) {
-    if (opt_.node_selection == NodeSelection::BestBound) {
-      Node n = heap_.top();
-      heap_.pop();
-      return n;
-    }
-    Node n = std::move(stack_.back());
-    stack_.pop_back();
+    Node n = heap_.top();
+    heap_.pop();
     return n;
   }
   double frontier_best_locked() const RRP_REQUIRES(mtx_) {
-    if (opt_.node_selection == NodeSelection::BestBound)
-      return heap_.empty() ? kInf : heap_.top().bound;
-    double best = kInf;
-    for (const Node& n : stack_) best = std::min(best, n.bound);
-    return best;
+    return heap_.empty() ? kInf : heap_.top().bound;
   }
   /// Proven global bound: the frontier, the nodes whose LP hit the
   /// iteration limit, and every node currently being processed by a
@@ -273,7 +258,6 @@ class Solver {
   CondVar cv_;
   std::priority_queue<Node, std::vector<Node>, NodeBoundGreater> heap_
       RRP_GUARDED_BY(mtx_);
-  std::deque<Node> stack_ RRP_GUARDED_BY(mtx_);
   /// Per-worker bound slot; kInf = idle.
   std::vector<double> in_flight_ RRP_GUARDED_BY(mtx_);
   /// Workers currently processing a node.
@@ -614,9 +598,8 @@ void Solver::process_node(WorkerState& ws, Node& node,
   up.start = basis;
 
   MutexLock lock(mtx_);
-  // DFS dives toward the nearer integer first (pushed last).  Under
-  // best-bound the children share a bound, so the same push order
-  // decides how the heap breaks the tie; it keeps node sequences stable.
+  // The children share a bound, so the push order decides how the heap
+  // breaks the tie; keeping it fixed keeps node sequences stable.
   if (frac >= 0.5) {
     push_locked(std::move(down));
     push_locked(std::move(up));
@@ -666,7 +649,7 @@ void Solver::worker(std::size_t w, WorkerState& ws) {
     const std::size_t node_number =
         nodes_count_.fetch_add(1, std::memory_order_relaxed) + 1;
     bnb_counters().nodes.add(1);
-    RRP_GAUGE_SET("rrp.bnb.frontier_depth", heap_.size() + stack_.size());
+    RRP_GAUGE_SET("rrp.bnb.frontier_depth", heap_.size());
     ++active_;
     in_flight_[w] = node.bound;
     lock.unlock();
@@ -729,17 +712,12 @@ MipResult Solver::run() {
   states.reserve(jobs);
   for (std::size_t w = 0; w < jobs; ++w) states.emplace_back(relaxation_);
 
-  if (jobs == 1) {
-    worker(0, states[0]);
-  } else {
-    TaskGroup group(global_pool());
-    for (std::size_t w = 1; w < jobs; ++w)
-      group.run([this, w, &states] { worker(w, states[w]); });
-    worker(0, states[0]);  // the caller participates
-    group.wait();
-  }
+  // Runs inline when jobs == 1.  With more jobs than pool threads the
+  // extra indices start once the tree is closed and return at once.
+  global_pool().parallel_for(jobs,
+                             [&](std::size_t w) { worker(w, states[w]); });
 
-  // All workers have joined (TaskGroup::wait above), so this lock is
+  // All workers have joined (parallel_for above), so this lock is
   // uncontended; it closes the epilogue reads under the same capability
   // contract the workers used, instead of relying on the join for
   // visibility.

@@ -2,9 +2,10 @@
 //
 // The paper solves DRRP and the deterministic-equivalent SRRP with a
 // commercial B&B (CPLEX via AIMMS); this module is the from-scratch
-// replacement.  It supports best-bound and depth-first node selection,
-// branches on the most fractional integer variable, runs a rounding
-// heuristic for early incumbents, and stops on a relative/absolute gap.
+// replacement.  It explores the node with the best relaxation bound
+// first, branches on the most fractional integer variable, runs a
+// rounding heuristic for early incumbents, and stops on a
+// relative/absolute gap.
 //
 // Two performance levers sit on top of the plain tree search:
 //
@@ -14,10 +15,11 @@
 //     lp::SimplexSolver that reuses its factorisation and work buffers
 //     across nodes.  MipResult::warm_started_nodes /
 //     cold_solved_nodes report the split.
-//   * Parallel tree search — `jobs` workers pull nodes from a shared
-//     frontier (mutex-protected heap/stack on common::ThreadPool), each
-//     owning a thread-local SimplexSolver.  Pruning, deadline and
-//     anytime semantics are preserved exactly: a node whose LP times
+//   * Parallel tree search — `jobs` workers, fanned out with
+//     common::ThreadPool::parallel_for, pull nodes from a shared
+//     best-bound frontier (a mutex-protected heap), each owning a
+//     thread-local SimplexSolver.  Pruning, deadline and anytime
+//     semantics are preserved exactly: a node whose LP times
 //     out returns to the frontier so the proven bound stays sound, and
 //     with zero gap tolerances the optimal objective is identical
 //     across any jobs count.
@@ -32,11 +34,6 @@
 namespace rrp::milp {
 
 class CutGenerator;  // milp/cuts.hpp
-
-enum class NodeSelection {
-  BestBound,   ///< explore the node with the most promising relaxation
-  DepthFirst,  ///< dive; finds incumbents fast, default for rolling use
-};
 
 enum class MipStatus {
   Optimal,
@@ -55,7 +52,6 @@ enum class MipStatus {
 const char* to_string(MipStatus status);
 
 struct BnbOptions {
-  NodeSelection node_selection = NodeSelection::BestBound;
   double integrality_tol = 1e-6;
   double relative_gap = 1e-6;
   double absolute_gap = 1e-9;

@@ -123,25 +123,4 @@ AutoArimaResult auto_arima(std::span<const double> x,
   return result;
 }
 
-AutoArimaRefitResult auto_arima_refit(const SarimaModel& incumbent,
-                                      std::span<const double> x,
-                                      const SarimaRefitOptions& refit,
-                                      const AutoArimaOptions& search) {
-  SarimaRefitResult maintained = refit_sarima(incumbent, x, refit);
-  AutoArimaRefitResult out;
-  out.action = maintained.action;
-  if (maintained.action != SarimaRefitAction::ScratchRefit) {
-    // Incumbent order still explains the new data: keep it, skip the
-    // grid entirely.
-    out.model = std::move(maintained.model);
-    out.order_search_skipped = true;
-    RRP_COUNTER_ADD("rrp.ts.auto_arima_searches_skipped", 1);
-    return out;
-  }
-  AutoArimaResult searched = auto_arima(x, search);
-  out.model = std::move(searched.model);
-  out.models_evaluated = searched.models_evaluated;
-  return out;
-}
-
 }  // namespace rrp::ts

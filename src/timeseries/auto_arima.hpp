@@ -42,21 +42,4 @@ std::size_t choose_D(std::span<const double> x, std::size_t s);
 AutoArimaResult auto_arima(std::span<const double> x,
                            const AutoArimaOptions& options = {});
 
-struct AutoArimaRefitResult {
-  SarimaModel model;
-  std::size_t models_evaluated = 0;  ///< 0 when the order search was skipped
-  bool order_search_skipped = false;
-  SarimaRefitAction action = SarimaRefitAction::Kept;
-};
-
-/// Incremental counterpart of auto_arima (ISSUE 10): while the
-/// incumbent order still passes the refit diagnostics (Kept or
-/// WarmRefit from refit_sarima), the grid search is skipped entirely
-/// and only the coefficients are maintained.  Only severe drift
-/// (ScratchRefit) re-runs the full order search.
-AutoArimaRefitResult auto_arima_refit(const SarimaModel& incumbent,
-                                      std::span<const double> x,
-                                      const SarimaRefitOptions& refit,
-                                      const AutoArimaOptions& search = {});
-
 }  // namespace rrp::ts

@@ -134,44 +134,4 @@ TEST(AutoArima, MaxTotalOrderPrunesGrid) {
   EXPECT_LE(rn.model.order.p + rn.model.order.q, 1u);
 }
 
-// --- auto_arima_refit (ISSUE 10) ---------------------------------------
-//
-// The order search is the expensive part of auto_arima; the refit
-// wrapper must skip it entirely while the incumbent order still passes
-// the drift diagnostics, and only severe drift (ScratchRefit) pays for
-// the full grid again.
-
-TEST(AutoArimaRefit, HealthyIncumbentSkipsOrderSearch) {
-  const auto x = ar1(0.6, 800, 501);
-  AutoArimaOptions opt;
-  opt.max_p = 2;
-  opt.max_q = 2;
-  const auto incumbent = auto_arima(x, opt);
-  const auto fresh = ar1(0.6, 400, 502);
-  const auto r = auto_arima_refit(incumbent.model, fresh, {}, opt);
-  EXPECT_TRUE(r.order_search_skipped);
-  EXPECT_EQ(r.models_evaluated, 0u);
-  EXPECT_TRUE(r.action == SarimaRefitAction::Kept ||
-              r.action == SarimaRefitAction::WarmRefit);
-  // The order is the incumbent's order: no re-selection happened.
-  EXPECT_EQ(r.model.order.p, incumbent.model.order.p);
-  EXPECT_EQ(r.model.order.q, incumbent.model.order.q);
-}
-
-TEST(AutoArimaRefit, SevereDriftRerunsTheGridSearch) {
-  const auto x = ar1(0.6, 800, 503);
-  AutoArimaOptions opt;
-  opt.max_p = 2;
-  opt.max_q = 2;
-  const auto incumbent = auto_arima(x, opt);
-  // Scale a fresh stream by 3: innovation variance ~9x the incumbent's,
-  // well past the scratch threshold.
-  auto drifted = ar1(0.6, 400, 504);
-  for (double& v : drifted) v *= 3.0;
-  const auto r = auto_arima_refit(incumbent.model, drifted, {}, opt);
-  EXPECT_EQ(r.action, SarimaRefitAction::ScratchRefit);
-  EXPECT_FALSE(r.order_search_skipped);
-  EXPECT_GT(r.models_evaluated, 0u);
-}
-
 }  // namespace

@@ -115,32 +115,6 @@ TEST(BranchAndBound, ObjectiveConstantIncluded) {
   EXPECT_NEAR(r.objective, 101.0, 1e-6);
 }
 
-TEST(BranchAndBound, DepthFirstAndBestBoundAgree) {
-  rrp::Rng rng(77);
-  for (int trial = 0; trial < 10; ++trial) {
-    Model m;
-    std::vector<Var> items;
-    LinExpr value, weight;
-    for (int i = 0; i < 10; ++i) {
-      items.push_back(m.add_binary());
-      value += rng.uniform(1.0, 20.0) * LinExpr(items.back());
-      weight += rng.uniform(1.0, 10.0) * LinExpr(items.back());
-    }
-    m.set_objective(value, Objective::Maximize);
-    m.add_constraint(std::move(weight) <= 25.0);
-
-    BnbOptions best_bound;
-    best_bound.node_selection = NodeSelection::BestBound;
-    BnbOptions dfs;
-    dfs.node_selection = NodeSelection::DepthFirst;
-    const MipResult a = solve(m, best_bound);
-    const MipResult b = solve(m, dfs);
-    ASSERT_EQ(a.status, MipStatus::Optimal);
-    ASSERT_EQ(b.status, MipStatus::Optimal);
-    EXPECT_NEAR(a.objective, b.objective, 1e-5) << "trial " << trial;
-  }
-}
-
 TEST(BranchAndBound, SolutionIsIntegral) {
   Model m;
   const Var x = m.add_integer(0.0, 100.0);

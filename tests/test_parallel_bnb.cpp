@@ -19,6 +19,7 @@
 #include "common/deadline.hpp"
 #include "common/fault_injection.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "milp/branch_and_bound.hpp"
 
 namespace {
@@ -118,19 +119,25 @@ TEST(ParallelBnb, BitIdenticalObjectiveAcrossJobCounts) {
   EXPECT_GT(parallel_multinode, 10u);
 }
 
-TEST(ParallelBnb, DepthFirstAlsoDeterministicAcrossJobs) {
+// A parallel solve nested inside a pooled sweep: every pool thread can
+// be busy with an outer index whose solve fans out again, so the solves
+// only finish if parallel_for helps while it waits.
+TEST(ParallelBnb, NestedInsidePooledSweepMatchesSerial) {
   rrp::Rng rng(7);
-  for (int trial = 0; trial < 12; ++trial) {
-    LotSizing inst(rng);
+  std::vector<LotSizing> insts;
+  for (int i = 0; i < 8; ++i) insts.emplace_back(rng);
+  std::vector<MipResult> nested(insts.size());
+  rrp::global_pool().parallel_for(insts.size(), [&](std::size_t i) {
     BnbOptions opt = exact_options();
-    opt.node_selection = NodeSelection::DepthFirst;
+    opt.jobs = 4;
+    nested[i] = solve(insts[i].model, opt);
+  });
+  for (std::size_t i = 0; i < insts.size(); ++i) {
+    BnbOptions opt = exact_options();
     opt.jobs = 1;
-    const MipResult serial = solve(inst.model, opt);
-    ASSERT_EQ(serial.status, MipStatus::Optimal);
-    opt.jobs = 8;
-    const MipResult parallel = solve(inst.model, opt);
-    ASSERT_EQ(parallel.status, MipStatus::Optimal);
-    EXPECT_EQ(parallel.objective, serial.objective) << "trial " << trial;
+    const MipResult serial = solve(insts[i].model, opt);
+    EXPECT_EQ(nested[i].status, serial.status) << "instance " << i;
+    EXPECT_EQ(nested[i].objective, serial.objective) << "instance " << i;
   }
 }
 

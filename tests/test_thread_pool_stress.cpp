@@ -1,14 +1,19 @@
 // TSan-targeted stress tests for rrp::ThreadPool: concurrent
 // submit/wait from many caller threads, overlapping parallel_for calls,
-// exception propagation out of tasks, and rapid construct/drain/destroy
-// churn.  Run under -fsanitize=thread in CI (see .github/workflows).
+// exception propagation out of tasks, rapid construct/drain/destroy
+// churn, and parallel_for nested inside a saturated pool.  Run under
+// -fsanitize=thread in CI (see .github/workflows).
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
 #include <future>
+#include <latch>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -131,6 +136,34 @@ TEST(ThreadPoolStress, GlobalPoolSharedAcrossThreads) {
   }
   for (auto& t : callers) t.join();
   EXPECT_EQ(counter.load(), 4 * 64);
+}
+
+// Both pool threads run an outer task before either fans out, so each
+// parallel_for's helper waits in the queue with no free worker: the
+// callers must run it themselves instead of parking on its future.
+TEST(ThreadPoolStress, NestedParallelForInSaturatedPoolCompletes) {
+  auto run = std::async(std::launch::async, [] {
+    rrp::ThreadPool pool(2);
+    std::latch both_running(2);
+    std::atomic<std::size_t> sum{0};
+    std::vector<std::future<void>> outer;
+    for (int t = 0; t < 2; ++t) {
+      outer.push_back(pool.submit([&] {
+        both_running.arrive_and_wait();
+        pool.parallel_for(4, [&sum](std::size_t i) { sum.fetch_add(i); });
+      }));
+    }
+    for (auto& f : outer) f.get();
+    return sum.load();
+  });
+  // A deadlocked pool never returns; fail fast instead of hanging until
+  // the test driver's timeout.
+  if (run.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << "nested parallel_for deadlocked the pool";
+    std::fflush(stdout);
+    std::_Exit(1);
+  }
+  EXPECT_EQ(run.get(), 2u * (0 + 1 + 2 + 3));
 }
 
 }  // namespace

@@ -8,6 +8,9 @@
 //
 // Run `rrp <command> --help` for per-command flags.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -37,12 +40,12 @@ namespace {
 using namespace rrp;
 
 /// Tiny flag parser: --key value pairs after the subcommand `cmd`
-/// (argv[1]).  A flag outside `known` (besides --help) is a usage
-/// error, exit 2.
+/// (argv[1]).  A flag outside `known` (besides --help), or a numeric
+/// flag whose whole value does not parse, is a usage error, exit 2.
 class Args {
  public:
-  Args(int argc, char** argv, const std::set<std::string>& known) {
-    const std::string cmd = argv[1];
+  Args(int argc, char** argv, const std::set<std::string>& known)
+      : cmd_(argv[1]) {
     for (int i = 2; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
@@ -55,8 +58,8 @@ class Args {
         continue;
       }
       if (known.count(key) == 0) {
-        std::cerr << "rrp " << cmd << ": unknown flag --" << key
-                  << " (see rrp " << cmd << " --help)\n";
+        std::cerr << "rrp " << cmd_ << ": unknown flag --" << key
+                  << " (see rrp " << cmd_ << " --help)\n";
         std::exit(2);
       }
       if (i + 1 >= argc) {
@@ -75,15 +78,35 @@ class Args {
   }
   double get_double(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    if (it == values_.end()) return fallback;
+    double v = 0.0;
+    if (!parse_whole(it->second, v) || !std::isfinite(v))
+      reject(key, "a number");
+    return v;
   }
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
+    if (it == values_.end()) return fallback;
+    std::uint64_t v = 0;  // from_chars takes no sign for unsigned types
+    if (!parse_whole(it->second, v)) reject(key, "a non-negative integer");
+    return v;
   }
   bool has(const std::string& key) const { return values_.count(key) > 0; }
 
  private:
+  template <typename T>
+  static bool parse_whole(const std::string& text, T& out) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && ptr == end;
+  }
+  [[noreturn]] void reject(const std::string& key, const char* expected) const {
+    std::cerr << "rrp " << cmd_ << ": --" << key << " expects " << expected
+              << ", got '" << values_.at(key) << "'\n";
+    std::exit(2);
+  }
+
+  std::string cmd_;
   std::map<std::string, std::string> values_;
   bool help_ = false;
 };
