@@ -108,23 +108,53 @@ std::vector<double> apply_differencing(std::span<const double> x,
   return w;
 }
 
-std::vector<double> css_residuals(std::span<const double> z,
-                                  std::span<const double> ar_full,
-                                  std::span<const double> ma_full) {
-  std::vector<double> e(z.size(), 0.0);
-  for (std::size_t t = 0; t < z.size(); ++t) {
-    double pred = 0.0;
-    for (std::size_t l = 1; l <= ar_full.size(); ++l) {
-      if (t < l) break;
-      pred += ar_full[l - 1] * z[t - l];
-    }
-    for (std::size_t l = 1; l <= ma_full.size(); ++l) {
-      if (t < l) break;
-      pred += ma_full[l - 1] * e[t - l];
-    }
-    e[t] = z[t] - pred;
+void nonzero_terms(std::span<const double> full, std::vector<LagTerm>& out) {
+  out.clear();
+  for (std::size_t l = 1; l <= full.size(); ++l)
+    if (full[l - 1] != 0.0) out.push_back({l, full[l - 1]});
+}
+
+namespace {
+
+/// The CSS one-step prediction at t, sum a_l z_{t-l} + sum m_l e_{t-l}
+/// over the lags l <= t, AR terms then MA terms in ascending lag order
+/// (the order the sum is rounded in).  `kAllInRange` asserts t >= every
+/// lag and drops the per-term bound check.
+template <bool kAllInRange>
+double css_predict(std::span<const LagTerm> ar, std::span<const LagTerm> ma,
+                   const double* z, const double* e, std::size_t t) {
+  double pred = 0.0;
+  for (const LagTerm& term : ar) {
+    if (!kAllInRange && t < term.lag) break;
+    pred += term.coef * z[t - term.lag];
   }
-  return e;
+  for (const LagTerm& term : ma) {
+    if (!kAllInRange && t < term.lag) break;
+    pred += term.coef * e[t - term.lag];
+  }
+  return pred;
+}
+
+}  // namespace
+
+double css_residuals(std::span<const double> z,
+                     std::span<const LagTerm> ar, std::span<const LagTerm> ma,
+                     std::size_t start, std::vector<double>& e) {
+  const std::size_t n = z.size();
+  e.resize(n);
+  std::size_t longest = ar.empty() ? 0 : ar.back().lag;
+  if (!ma.empty()) longest = std::max(longest, ma.back().lag);
+  double sse = 0.0;
+  std::size_t t = 0;
+  for (; t < std::min(n, longest); ++t) {
+    e[t] = z[t] - css_predict<false>(ar, ma, z.data(), e.data(), t);
+    if (t >= start) sse += e[t] * e[t];
+  }
+  for (; t < n; ++t) {
+    e[t] = z[t] - css_predict<true>(ar, ma, z.data(), e.data(), t);
+    if (t >= start) sse += e[t] * e[t];
+  }
+  return sse;
 }
 
 namespace {
@@ -180,19 +210,18 @@ SarimaModel fit_sarima_impl(std::span<const double> x,
     return r;
   };
 
+  // Residuals before `warmup` condition on unknown pre-sample values
+  // and stay out of the sum.  One fit reuses the buffers across every
+  // Nelder-Mead evaluation.
+  const std::size_t warmup = std::max(max_ar_lag, max_ma_lag);
+  std::vector<double> z(w.size()), e;
+  std::vector<LagTerm> ar_terms, ma_terms;
   auto css_of = [&](const std::vector<double>& u) {
     const Unpacked r = unpack(u);
-    const auto ar_full = expand_ar(r.phi, r.sphi, order.s);
-    const auto ma_full = expand_ma(r.theta, r.stheta, order.s);
-    std::vector<double> z(w.size());
+    nonzero_terms(expand_ar(r.phi, r.sphi, order.s), ar_terms);
+    nonzero_terms(expand_ma(r.theta, r.stheta, order.s), ma_terms);
     for (std::size_t t = 0; t < w.size(); ++t) z[t] = w[t] - r.mean;
-    const auto e = css_residuals(z, ar_full, ma_full);
-    // Skip the warm-up residuals that condition on unknown pre-sample
-    // values.
-    double sse = 0.0;
-    const std::size_t start = std::max(ar_full.size(), ma_full.size());
-    for (std::size_t t = start; t < e.size(); ++t) sse += e[t] * e[t];
-    return sse;
+    return css_residuals(z, ar_terms, ma_terms, warmup, e);
   };
 
   std::vector<double> start(n_coef + (include_mean ? 1 : 0), 0.0);
@@ -228,9 +257,7 @@ SarimaModel fit_sarima_impl(std::span<const double> x,
   model.mean = fitted.mean;
   model.has_mean = include_mean;
   model.css = opt_result.value;
-  const std::size_t start_t =
-      std::max(model.ar_full.size(), model.ma_full.size());
-  model.n_effective = w.size() - start_t;
+  model.n_effective = w.size() - warmup;
   RRP_ENSURES(model.n_effective > 0);
   const double n = static_cast<double>(model.n_effective);
   model.sigma2 = std::max(model.css / n, 1e-300);
@@ -291,12 +318,14 @@ SarimaRefitResult refit_sarima(const SarimaModel& incumbent,
   const std::vector<double> w = apply_differencing(tail, order);
   std::vector<double> z(w.size());
   for (std::size_t t = 0; t < w.size(); ++t) z[t] = w[t] - incumbent.mean;
-  const auto e = css_residuals(z, incumbent.ar_full, incumbent.ma_full);
   const std::size_t start =
       std::max(incumbent.ar_full.size(), incumbent.ma_full.size());
-  RRP_EXPECTS(e.size() > start);
-  double sse = 0.0;
-  for (std::size_t t = start; t < e.size(); ++t) sse += e[t] * e[t];
+  RRP_EXPECTS(z.size() > start);
+  std::vector<LagTerm> ar_terms, ma_terms;
+  nonzero_terms(incumbent.ar_full, ar_terms);
+  nonzero_terms(incumbent.ma_full, ma_terms);
+  std::vector<double> e;
+  const double sse = css_residuals(z, ar_terms, ma_terms, start, e);
   const std::size_t n_eff = e.size() - start;
 
   SarimaRefitResult out;
@@ -360,30 +389,22 @@ std::vector<double> forecast(const SarimaModel& model,
     layers.push_back(difference(layers.back(), order.s));
 
   const std::vector<double>& w = layers.back();
-  std::vector<double> z(w.size());
-  for (std::size_t t = 0; t < w.size(); ++t) z[t] = w[t] - model.mean;
-  const auto e = css_residuals(z, model.ar_full, model.ma_full);
+  const std::size_t n = w.size();
+  std::vector<double> z(n + h);
+  for (std::size_t t = 0; t < n; ++t) z[t] = w[t] - model.mean;
+  std::vector<LagTerm> ar_terms, ma_terms;
+  nonzero_terms(model.ar_full, ar_terms);
+  nonzero_terms(model.ma_full, ma_terms);
+  std::vector<double> e;
+  css_residuals({z.data(), n}, ar_terms, ma_terms, n, e);  // no sum needed
 
   // Recursive point forecasts on the differenced scale; future
   // innovations are zero.
-  std::vector<double> zext = z;
-  std::vector<double> eext = e;
-  for (std::size_t step = 0; step < h; ++step) {
-    const std::size_t t = zext.size();
-    double pred = 0.0;
-    for (std::size_t l = 1; l <= model.ar_full.size(); ++l) {
-      if (t < l) break;
-      pred += model.ar_full[l - 1] * zext[t - l];
-    }
-    for (std::size_t l = 1; l <= model.ma_full.size(); ++l) {
-      if (t < l) break;
-      pred += model.ma_full[l - 1] * eext[t - l];
-    }
-    zext.push_back(pred);
-    eext.push_back(0.0);
-  }
-  std::vector<double> w_hat(zext.end() - static_cast<std::ptrdiff_t>(h),
-                            zext.end());
+  e.resize(n + h, 0.0);
+  for (std::size_t t = n; t < n + h; ++t)
+    z[t] = css_predict<false>(ar_terms, ma_terms, z.data(), e.data(), t);
+  std::vector<double> w_hat(z.begin() + static_cast<std::ptrdiff_t>(n),
+                            z.end());
   for (double& v : w_hat) v += model.mean;
 
   // Invert the differencing, deepest layer first.

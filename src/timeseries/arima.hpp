@@ -9,7 +9,8 @@
 //  * conditional-sum-of-squares (CSS) estimation, optimised by
 //    Nelder-Mead over a partial-autocorrelation parametrisation that
 //    keeps the AR side stationary and the MA side invertible by
-//    construction;
+//    construction; the CSS recursion visits only the nonzero lags of
+//    the expanded polynomials;
 //  * recursive multi-step forecasting with differencing inversion.
 #pragma once
 
@@ -75,12 +76,29 @@ std::vector<double> expand_ma(std::span<const double> theta,
 std::vector<double> apply_differencing(std::span<const double> x,
                                        const SarimaOrder& order);
 
+/// One nonzero term of an expanded lag polynomial: `coef` multiplies
+/// lag `lag` (>= 1).
+struct LagTerm {
+  std::size_t lag = 0;
+  double coef = 0.0;
+};
+
+/// Replaces `out` with the nonzero entries of an expanded polynomial
+/// (`ar_full`/`ma_full` layout: index l-1 holds lag l), in ascending lag
+/// order.  A seasonal product is mostly zeros: SARIMA(2,0,1)(2,0,0)_24
+/// expands to 50 AR lags of which 8 are nonzero.  A skipped term only
+/// ever adds +-0 to the recursion's sum, so CSS over these terms equals
+/// the dense recursion bit for bit.
+void nonzero_terms(std::span<const double> full, std::vector<LagTerm>& out);
+
 /// CSS residuals of a coefficient set on a differenced, mean-free
-/// series; e_t = z_t - sum a_l z_{t-l} - sum m_l e_{t-l} with unknown
-/// pre-sample values set to zero.
-std::vector<double> css_residuals(std::span<const double> z,
-                                  std::span<const double> ar_full,
-                                  std::span<const double> ma_full);
+/// series: e_t = z_t - sum a_l z_{t-l} - sum m_l e_{t-l}, with unknown
+/// pre-sample values set to zero.  Writes the residuals into `e`
+/// (resized to z.size(), so a caller looping over fits allocates once)
+/// and returns sum_{t >= start} e_t^2.
+double css_residuals(std::span<const double> z,
+                     std::span<const LagTerm> ar, std::span<const LagTerm> ma,
+                     std::size_t start, std::vector<double>& e);
 
 /// Fits the model by CSS.  Requires enough observations to difference
 /// and to cover the longest expanded lag.

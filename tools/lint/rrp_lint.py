@@ -35,6 +35,7 @@ Exit status is 0 when clean, 1 when any violation is found.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import os
 import re
 import subprocess
@@ -94,11 +95,28 @@ class Violation:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
+def ignored_dir_patterns(root: str) -> list[str]:
+    """The directory patterns (lines ending in `/`, such as `build-*/`)
+    of root/.gitignore, each to be matched against a directory name."""
+    try:
+        with open(os.path.join(root, ".gitignore"), encoding="utf-8") as f:
+            lines = [line.strip() for line in f]
+    except OSError:
+        return []
+    return [
+        line.strip("/")
+        for line in lines
+        if line.endswith("/") and not line.startswith(("#", "!"))
+    ]
+
+
 def tracked_files(root: str) -> list[str]:
     """Repo-relative paths of files subject to lint.
 
     Prefers `git ls-files` (which also powers the committed-artifact
-    rule); falls back to walking the tree when git is unavailable.
+    rule); falls back to walking the tree when git is unavailable,
+    skipping the directories the root's .gitignore names, so a plain
+    copy with an in-tree build directory lints like its checkout.
     """
     try:
         out = subprocess.run(
@@ -111,9 +129,15 @@ def tracked_files(root: str) -> list[str]:
             return files
     except (OSError, subprocess.CalledProcessError):
         pass
+    ignored = ignored_dir_patterns(root)
     files = []
     for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = [d for d in dirnames if d != ".git"]
+        dirnames[:] = [
+            d
+            for d in dirnames
+            if d != ".git"
+            and not any(fnmatch.fnmatchcase(d, p) for p in ignored)
+        ]
         for name in filenames:
             rel = os.path.relpath(os.path.join(dirpath, name), root)
             files.append(rel.replace(os.sep, "/"))

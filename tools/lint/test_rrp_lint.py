@@ -193,6 +193,21 @@ class RuleTests(unittest.TestCase):
         ]
         self.assertEqual(len(violations), 2)
 
+    def test_plain_copy_skips_gitignored_build_dirs(self):
+        # Outside a git checkout the linter walks the tree; the build
+        # trees the repository's .gitignore names are not "committed".
+        with open(os.path.join(REPO_ROOT, ".gitignore"), encoding="utf-8") as f:
+            self.tree.write(".gitignore", f.read())
+        self.tree.write("src/ok.hpp", "#pragma once\n")
+        for d in ("build", "build-asan", ".bench_build/perfbench", "out",
+                  "cmake-build-debug", "src/sub/build"):
+            self.tree.write(d + "/CMakeCache.txt", "CMAKE_BUILD_TYPE=x\n")
+            self.tree.write(d + "/obj.o", "\x7fELF")
+        self.assertNotIn("no-build-artifacts", self.rules_fired())
+        # A build output outside an ignored directory still fires.
+        self.tree.write("src/obj.o", "\x7fELF")
+        self.assertIn("no-build-artifacts", self.rules_fired())
+
 
 class CliTests(unittest.TestCase):
     def test_missing_root_is_an_error_not_clean(self):

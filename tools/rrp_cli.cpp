@@ -351,7 +351,7 @@ int cmd_simulate(const Args& args) {
   if (args.help()) {
     std::cout << "rrp simulate [--class c1.medium] [--hours 48] "
                  "[--policy sto-exp-mean|det-exp-mean|sto-predict|"
-                 "det-predict|on-demand|no-plan] [--replan N] "
+                 "det-predict|sto-markov|on-demand|no-plan] [--replan N] "
                  "[--replan-mode rebuild|incremental] [--model-update N] "
                  "[--time-limit SECONDS] [--seed N] "
                  "[--trace FILE]\n"
@@ -416,6 +416,7 @@ int cmd_simulate(const Args& args) {
   else if (name == "det-exp-mean") policy = core::det_exp_mean_policy();
   else if (name == "sto-predict") policy = core::sto_predict_policy();
   else if (name == "det-predict") policy = core::det_predict_policy();
+  else if (name == "sto-markov") policy = core::sto_markov_policy();
   else if (name == "on-demand") policy = core::on_demand_policy();
   else if (name == "no-plan") policy = core::no_plan_policy();
   else {
